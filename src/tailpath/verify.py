@@ -25,12 +25,14 @@ from .copulas import (
     MarshallOlkin,
     PickandsFn,
     StudentT,
+    _t_cdf_dunnett_sobel,
+    _t_cdf_quadrature,
     rectangle_volume,
     survival,
 )
 from .errors import DegenerateTailError
 from .maxpath import equivalence_report, maximize_slice
-from .numerics import maximize_1d, student_t_cdf, student_t_pdf
+from .numerics import maximize_1d, student_t_cdf, student_t_pdf, student_t_quantile
 from .singular import cardano_roots, log_gap, singular_root
 from .spectral import (
     SpectralModel,
@@ -124,17 +126,34 @@ def t_bstar_suite() -> list[CheckResult]:
 
 
 def equivalence_suite() -> list[CheckResult]:
-    """Path-limit route vs profile-maximum route on the two reference models."""
+    """Path-limit route vs profile-maximum route on the three reference models."""
     start = time.perf_counter()
     out = []
     for label, model in (
         ("smo(0.35,0.7)", survival(MarshallOlkin(0.35, 0.7))),
         ("sag(0.35,0.7,2)", survival(AsymGumbel(0.35, 0.7, 2.0))),
+        ("t(4,0.5)", StudentT(4.0, 0.5)),
     ):
         rep = equivalence_report(model)
         out.append(_leq(f"{label} |lambda_phi - lambda_star|", rep.lambda_diff, 0.01))
         out.append(_leq(f"{label} |b_limit - b_star|", rep.b_diff, 0.02))
     out.append(_leq("runtime seconds", time.perf_counter() - start, 60.0))
+    return out
+
+
+def t_cdf_suite() -> list[CheckResult]:
+    """Dunnett-Sobel closed form against the quadrature route on a 12x12 grid."""
+    grid = np.linspace(0.02, 0.98, 12)
+    out = []
+    for nu in (1, 2, 3, 4, 5, 10, 30):
+        xs = [student_t_quantile(float(p), nu) for p in grid]
+        for rho in (-0.9, -0.3, 0.5, 0.95):
+            worst = max(
+                abs(_t_cdf_dunnett_sobel(nu, rho, h, k) - _t_cdf_quadrature(nu, rho, h, k))
+                for h in xs
+                for k in xs
+            )
+            out.append(_leq(f"t(nu={nu},rho={rho:g}) closed form vs quadrature", worst, 1e-11))
     return out
 
 
@@ -423,6 +442,7 @@ SUITES: dict[str, tuple[str, Callable[[], list[CheckResult]]]] = {
     "fgm": ("degenerate tail diagnostics for FGM", fgm_suite),
     "numeric-tail": ("numeric tail limit matches analytic forms", numeric_tail_suite),
     "properties": ("copula invariants and sampler agreement", properties_suite),
+    "t-cdf": ("Student-t cdf closed form matches quadrature", t_cdf_suite),
 }
 
 

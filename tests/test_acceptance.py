@@ -22,6 +22,7 @@ EXPECTED_KEYS = (
     "fgm",
     "numeric-tail",
     "properties",
+    "t-cdf",
 )
 
 
@@ -88,3 +89,8 @@ def test_numeric_tail_accuracy():
 def test_family_properties():
     """Bounds, monotonicity, margins, and samplers across all nine families."""
     run("properties")
+
+
+def test_student_t_cdf_routes():
+    """Dunnett-Sobel closed form agrees with the quadrature route."""
+    run("t-cdf")

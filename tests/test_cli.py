@@ -165,6 +165,21 @@ class TestPathCommand:
         flags = [line.split(",")[-1] for line in lines[1:]]
         assert set(flags) <= {"0", "1"}
 
+    def test_heavy_tailed_t_below_nu_one(self, tmp_path):
+        code = main(
+            [
+                "path",
+                "--model",
+                "t:nu=0.5,rho=0.99",
+                "--schedule",
+                "0.1,0.01,0.001",
+                "--out",
+                str(tmp_path),
+            ]
+        )
+        assert code == 0
+        assert len(read(tmp_path / "path.csv").splitlines()) == 4
+
     def test_json_tier_adds_summary(self, tmp_path):
         code = main(
             [

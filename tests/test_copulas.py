@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.stats
 
+import tailpath.copulas
 from tailpath.copulas import (
     AsymGumbel,
     Comonotone,
@@ -16,7 +18,7 @@ from tailpath.copulas import (
     rectangle_volume,
     survival,
 )
-from tailpath.errors import DomainError
+from tailpath.errors import DomainError, TailPathError
 from tailpath.numerics import integrate_adaptive, student_t_pdf
 
 ALL_MODELS = [
@@ -34,6 +36,28 @@ ALL_MODELS = [
 
 def model_id(model):
     return model.spec()
+
+
+def t_copula_reference(nu, rho, u, v):
+    """Student-t copula cdf from scipy's t functions, by quad over a margin's probability.
+
+    C(u, v) = integral over p in (0, u) of T_{nu+1}(c (y - rho s) / sqrt(nu + s^2)),
+    with s = T_nu^-1(p), y = T_nu^-1(v) and c = sqrt((nu+1) / (1-rho^2)). The
+    smaller argument is integrated over, and v > 1/2 is reflected through
+    C(u, v) = u - C_{-rho}(u, 1 - v), so quad never hunts for a sliver of mass.
+    """
+    if u > v:
+        u, v = v, u
+    if v > 0.5:
+        return u - t_copula_reference(nu, -rho, u, 1.0 - v)
+    c = math.sqrt((nu + 1.0) / (1.0 - rho * rho))
+    y = scipy.stats.t.ppf(v, nu)
+
+    def g(p):
+        s = scipy.stats.t.ppf(p, nu)
+        return scipy.stats.t.cdf(c * (y - rho * s) / math.sqrt(nu + s * s), nu + 1.0)
+
+    return scipy.integrate.quad(g, 0.0, u, epsabs=0.0, epsrel=1e-12, limit=200)[0]
 
 
 class TestClosedFormValues:
@@ -170,6 +194,76 @@ class TestStudentTCopula:
         sm = Survival(m)
         for u, v in ((0.2, 0.3), (0.5, 0.8), (0.05, 0.95)):
             assert sm.cdf(u, v) == pytest.approx(m.cdf(u, v), abs=5e-8)
+
+
+class TestStudentTRoutes:
+    @pytest.mark.parametrize("nu", [1, 2, 3, 4, 7])
+    @pytest.mark.parametrize("rho", [-0.9, -0.3, 0.95])
+    def test_closed_form_against_scipy(self, nu, rho):
+        m = StudentT(float(nu), rho)
+        corners = (
+            (3.7e-6, 3.7e-6),
+            (3.7e-6, 0.3),
+            (0.3, 0.7),
+            (0.999, 0.01),
+            (1.0 - 3.7e-6, 1.0 - 3.7e-6),
+        )
+        for u, v in corners:
+            want = t_copula_reference(float(nu), rho, u, v)
+            assert abs(m.cdf(u, v) - want) <= 1e-15 + 1e-10 * want
+
+    @pytest.mark.parametrize(
+        "nu, route",
+        [
+            (4.0, "_t_cdf_dunnett_sobel"),
+            (1000.0, "_t_cdf_dunnett_sobel"),
+            (4.5, "_t_cdf_quadrature"),
+            (1001.0, "_t_cdf_quadrature"),
+            (0.5, "_t_cdf_quadrature"),
+        ],
+    )
+    def test_route_dispatch(self, nu, route, monkeypatch):
+        calls = []
+        for name in ("_t_cdf_dunnett_sobel", "_t_cdf_quadrature"):
+            real = getattr(tailpath.copulas, name)
+
+            def spy(*args, _name=name, _real=real):
+                calls.append(_name)
+                return _real(*args)
+
+            monkeypatch.setattr(tailpath.copulas, name, spy)
+        StudentT(nu, 0.5).cdf(0.2, 0.3)
+        assert calls[0] == route
+
+    @pytest.mark.parametrize(
+        "nu, rho, u, v",
+        [
+            (0.5, 0.99, 1e-3, 2e-3),  # raised ZeroDivisionError
+            (0.3, 0.5, 1e-4, 1e-4),  # returned 9.8e-15
+            (0.3, -0.5, 0.2, 0.4),
+            (0.7, 0.5, 0.9, 0.3),
+            (0.02, 0.5, 1e-3, 1e-3),  # s = x0 w^(-1/nu) overflows in floats
+        ],
+    )
+    def test_heavy_tails_below_nu_one(self, nu, rho, u, v):
+        want = t_copula_reference(nu, rho, u, v)
+        assert StudentT(nu, rho).cdf(u, v) == pytest.approx(want, rel=1e-8)
+
+    @pytest.mark.parametrize("nu", [1.0, 2.0, 3.0, 4.0, 5.0, 30.0])
+    @pytest.mark.parametrize("rho", [-0.9, 0.5, 0.9999999])
+    def test_far_tails_stay_in_frechet_bounds(self, nu, rho):
+        m = StudentT(nu, rho)
+        for u, v in ((1e-300, 0.5), (1e-150, 1e-150), (1e-20, 1e-20), (0.5, 1.0 - 1e-16)):
+            try:
+                c = m.cdf(u, v)
+            except TailPathError:
+                continue
+            assert max(u + v - 1.0, 0.0) <= c <= min(u, v)
+
+    def test_degenerate_correlation(self):
+        for nu in (3.0, 4.0):
+            assert StudentT(nu, 1.0 - 1e-16).cdf(0.2, 0.3) == pytest.approx(0.2, abs=1e-15)
+            assert StudentT(nu, -1.0 + 1e-16).cdf(0.8, 0.3) == pytest.approx(0.1, abs=1e-15)
 
 
 class TestPickands:

@@ -64,6 +64,25 @@ class TestStudentT:
                 x = student_t_quantile(p, nu)
                 assert student_t_cdf(x, nu) == pytest.approx(p, abs=1e-12)
 
+    @pytest.mark.parametrize("nu", [0.3, 1.0, 2.0, 3.0, 4.5, 10.0, 30.0, 50.0])
+    def test_quantile_against_scipy(self, nu):
+        ps = np.concatenate(
+            [np.logspace(-12.0, -0.31, 25), 1.0 - np.logspace(-12.0, -1.0, 12)]
+        )
+        for p in ps:
+            assert student_t_quantile(float(p), nu) == pytest.approx(
+                scipy.stats.t.ppf(p, nu), rel=1e-13
+            )
+
+    def test_quantile_upper_half_mirrors_lower_half(self):
+        for nu in (0.5, 4.0, 17.0):
+            for p in (0.5000001, 0.6, 0.9, 1.0 - 1e-9):
+                assert student_t_quantile(p, nu) == -student_t_quantile(1.0 - p, nu)
+
+    def test_quantile_beyond_float_range_raises(self):
+        with pytest.raises(ConvergenceError):
+            student_t_quantile(1e-300, 0.3)
+
     def test_extreme_tails_dont_cancel(self):
         # half-tail evaluation keeps small probabilities meaningful
         p = student_t_cdf(-50.0, 4.0)
@@ -123,6 +142,17 @@ class TestIntegrateAdaptive:
                 rel_tol=1e-15,
                 max_subdivisions=3,
             )
+
+
+    def test_node_on_mapped_endpoint_raises_convergence_error(self):
+        # the rational map turns |x|^-1.5 decay into a (1-t)^-0.5 endpoint
+        # singularity; bisection toward it rounds a node onto t = 1
+        for f, a, b in (
+            (lambda x: (1.0 + x) ** -1.5, 0.0, math.inf),
+            (lambda x: (1.0 - x) ** -1.5, -math.inf, 0.0),
+        ):
+            with pytest.raises(ConvergenceError):
+                integrate_adaptive(f, a, b, abs_tol=1e-14, rel_tol=1e-14)
 
 
 class TestBrent:
