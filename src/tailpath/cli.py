@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -33,7 +34,7 @@ from .copulas import (
 from .errors import ScheduleError, TailPathError
 from .maxpath import PathResult, default_u_schedule, trace_path
 from .output import svg_line_chart, svg_scatter, write_csv, write_json, write_text
-from .singular import curve_residual, singular_root
+from .singular import singular_root
 from .spectral import SpectralModel, h_density, profile_kernel, smoothed_profile
 from .tailcopula import (
     MtcmResult,
@@ -143,17 +144,6 @@ def parse_schedule(text: str) -> list[float] | None:
     return values
 
 
-def _threads() -> int:
-    raw = os.environ.get("TAILPATH_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"TAILPATH_THREADS must be an integer, got {raw!r}") from None
-    return max(1, n)
-
-
 def _outdir(args: argparse.Namespace) -> str:
     path = args.out
     try:
@@ -233,7 +223,7 @@ def _emit_path(
     tol: float,
 ) -> PathResult:
     with _op(f"path trace for {model.spec()}"):
-        path = trace_path(model, schedule, tol=tol, threads=_threads())
+        path = trace_path(model, schedule, tol=tol)
     write_csv(
         os.path.join(out, f"{prefix}path.csv"),
         ("u", "phi_star", "v_star", "pi", "pi_over_u", "ratio_b", "boundary_flag"),
@@ -273,15 +263,7 @@ def _emit_singular(
     with _op("singular-curve roots"):
         for u in us:
             pt = singular_root(alpha, beta, float(u))
-            rows.append(
-                (
-                    pt.u,
-                    pt.x_star,
-                    (pt.u * pt.u) / pt.x_star,
-                    pt.x_star / pt.u,
-                    curve_residual(alpha, beta, pt.u, pt.x_star),
-                )
-            )
+            rows.append((pt.u, pt.x_star, (pt.u * pt.u) / pt.x_star, pt.ratio, pt.residual))
     write_csv(
         os.path.join(out, f"{prefix}singular.csv"),
         ("u", "x_star", "v_star", "ratio", "residual"),
@@ -503,7 +485,13 @@ def _add_common(sub: argparse.ArgumentParser, *, model: bool = True) -> None:
     )
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on first use and shared by every later main() call.
+
+    parse_args leaves the parser unchanged, and a fresh parser per call is a
+    pile of reference cycles that only a full garbage collection frees.
+    """
     parser = argparse.ArgumentParser(
         prog="tailpath",
         description="Tail copulas, maximal tail concordance, and paths of maximal dependence.",

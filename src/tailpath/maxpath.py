@@ -11,7 +11,6 @@ against the profile-maximization route (MTCM) by equivalence_report.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -155,7 +154,6 @@ def trace_path(
     *,
     n_grid: int = 512,
     tol: float = 1e-10,
-    threads: int = 1,
 ) -> PathResult:
     """Trace the slice maximizer over a decreasing u schedule and extrapolate.
 
@@ -163,38 +161,23 @@ def trace_path(
     both by Aitken delta-squared on the last three successful points, with
     the spread-based estimate from the accelerator as the reported error.
 
-    Sequential runs warm-start each slice from the previous maximizer scaled
-    to the new level (on top of the full grid, never instead of it); with
-    threads > 1 slices run independently without hints, which can only move
-    results within the refinement tolerance. Per-point cdf failures are
-    recorded in failures and skipped rather than aborting the trace.
+    Each slice is warm-started from the previous maximizer scaled to the new
+    level (on top of the full grid, never instead of it). Per-point cdf
+    failures are recorded in failures and skipped rather than aborting the
+    trace.
     """
     us = _validate_schedule(default_u_schedule() if u_schedule is None else u_schedule)
     points: list[PathPoint] = []
     failures: list[tuple[float, str]] = []
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(maximize_slice, model, u, n_grid=n_grid, tol=tol)
-                for u in us
-            ]
-            for u, fut in zip(us, futures):
-                try:
-                    points.append(fut.result())
-                except TailPathError as exc:
-                    failures.append((u, str(exc)))
-    else:
-        hint: float | None = None
-        for u in us:
-            try:
-                point = maximize_slice(
-                    model, u, n_grid=n_grid, tol=tol, warm_hint=hint
-                )
-            except TailPathError as exc:
-                failures.append((u, str(exc)))
-                continue
-            points.append(point)
-            hint = point.ratio_b * u
+    hint: float | None = None
+    for u in us:
+        try:
+            point = maximize_slice(model, u, n_grid=n_grid, tol=tol, warm_hint=hint)
+        except TailPathError as exc:
+            failures.append((u, str(exc)))
+            continue
+        points.append(point)
+        hint = point.ratio_b * u
     if not points:
         raise ScheduleError("every scheduled slice failed; see failures")
     lam_seq = [p.pi_over_u for p in points]
@@ -265,7 +248,6 @@ def equivalence_report(
     b_tol: float = 0.02,
     n_grid: int = 512,
     tol: float = 1e-10,
-    threads: int = 1,
 ) -> EquivalenceReport:
     """Cross-check the two routes to maximal tail dependence on one model.
 
@@ -281,7 +263,7 @@ def equivalence_report(
         except DomainError:
             tail = NumericTailCopula(model)
     m = mtcm(tail, n_grid=n_grid, tol=tol)
-    path = trace_path(model, u_schedule, n_grid=n_grid, tol=tol, threads=threads)
+    path = trace_path(model, u_schedule, n_grid=n_grid, tol=tol)
     lambda_diff = abs(path.lambda_phi_star - m.lambda_star)
     b_diff = abs(path.b_limit - m.b_star)
     lambda_budget = lambda_tol + path.lambda_err

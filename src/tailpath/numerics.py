@@ -18,7 +18,9 @@ Brent. Maximization is a coarse grid scan followed by golden-section
 refinement around the best cell, which is robust for the kinked profiles this
 package optimizes (piecewise-smooth with isolated corners).
 
-Scalar routines accept and return plain floats; only the grid scan uses numpy.
+Scalar routines accept and return plain floats. The grid scan uses numpy, and
+so does a private array twin of student_t_cdf that the Student-t sampler calls
+once per sample; it repeats the scalar arithmetic, so the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -167,6 +169,99 @@ def student_t_cdf(x: float, nu: float) -> float:
     z = nu / (nu + x * x)
     half_tail = 0.5 * betainc_regularized(0.5 * nu, 0.5, z)
     return 1.0 - half_tail if x > 0.0 else half_tail
+
+
+def _betainc_array(a: float, b: float, x: np.ndarray) -> np.ndarray:
+    """betainc_regularized(a, b, t) at every t of an array x, bit for bit.
+
+    Entries past the crossover take the swap I_x(a, b) = 1 - I_{1-x}(b, a),
+    and every entry then runs the scalar routine's modified-Lentz steps in
+    the same order, with its own (a, b). All entries stay in one loop at full
+    length: an entry that meets the stopping rule keeps the value it had
+    then, while the others go on. No array changes size, because numpy keeps
+    freed buffers under 1 KB in a cache keyed by exact size, and arrays that
+    shrank step by step would leave it holding megabytes. The front factor
+    goes through math's log, log1p and exp entry by entry: numpy's vector
+    versions can differ from them by an ulp, and a ln x reaches -700 in the
+    tails, where an ulp of it is 1e-13 of the result.
+    """
+    swap = x > (a + 1.0) / (a + b + 2.0)
+    # x = 0 and x = 1 stay inactive with value 0, which the swap turns into
+    # the scalar routine's 0 and 1; their placeholder 0.5 is never read.
+    active = (x > 0.0) & (x < 1.0)
+    xs = np.where(active, np.where(swap, 1.0 - x, x), 0.5)
+    pairs = ((a, b), (b, a))  # an entry's (a, b), indexed by its swap flag
+    lgamma, log, log1p, exp = math.lgamma, math.log, math.log1p, math.exp
+    norm = [lgamma(p + q) - lgamma(p) - lgamma(q) for p, q in pairs]
+    front = np.array([
+        exp(norm[s] + pairs[s][0] * log(t) + pairs[s][1] * log1p(-t))
+        for t, s in zip(xs.tolist(), swap.tolist())
+    ])
+
+    def per_entry(f):
+        """The scalar routine's coefficient f(a, b) for each entry."""
+        return np.where(swap, f(b, a), f(a, b))
+
+    tiny = 1e-300
+
+    def floor_tiny(v):
+        if np.abs(v).min() < tiny:
+            v[np.abs(v) < tiny] = tiny
+
+    c = np.ones_like(xs)
+    d = 1.0 - per_entry(lambda p, q: p + q) * xs / per_entry(lambda p, q: p + 1.0)
+    floor_tiny(d)
+    d = 1.0 / d
+    h = d.copy()
+    value = np.zeros_like(xs)
+    step = np.empty_like(xs)
+    # Stopped entries and placeholders keep stepping unread; they may overflow.
+    with np.errstate(all="ignore"):
+        for m in range(1, 300):
+            if not active.any():
+                break
+            m2 = 2 * m
+            for num in (  # the even step, then the odd step
+                per_entry(lambda p, q: m * (q - m)) * xs
+                / per_entry(lambda p, q: (p + m2 - 1.0) * (p + m2)),
+                per_entry(lambda p, q: -(p + m) * (p + q + m)) * xs
+                / per_entry(lambda p, q: (p + m2) * (p + m2 + 1.0)),
+            ):
+                # d = 1 + num d, c = 1 + num / c, d = 1 / d, h *= d c, in place.
+                np.multiply(num, d, out=d)
+                d += 1.0
+                floor_tiny(d)
+                np.divide(num, c, out=c)
+                c += 1.0
+                floor_tiny(c)
+                np.divide(1.0, d, out=d)
+                np.multiply(d, c, out=step)
+                h *= step
+            stop = active & (np.abs(step - 1.0) < 1e-16)
+            if stop.any():
+                value = np.where(stop, front * h / per_entry(lambda p, q: p), value)
+                active &= ~stop
+    if active.any():
+        raise ConvergenceError(
+            f"incomplete beta continued fraction stalled for a={a}, b={b}, "
+            f"x={x[active][0]}"
+        )
+    return np.where(swap, 1.0 - value, value)
+
+
+def _student_t_cdf_array(x: np.ndarray, nu: float) -> np.ndarray:
+    """student_t_cdf over an array of x, equal entry by entry to the scalar calls."""
+    if nu <= 0.0:
+        raise DomainError(f"student_t_cdf requires nu > 0, got {nu}")
+    x = np.asarray(x, dtype=float)
+    if np.isnan(x).any():
+        raise DomainError("student_t_cdf got NaN argument")
+    # |x| past 1e154 gives z = 0, as x = +-inf does, and x = 0 gives z = 1,
+    # which _betainc_array maps to the scalar routine's 0 and 1.
+    with np.errstate(over="ignore"):
+        z = nu / (nu + x * x)
+    half_tail = 0.5 * _betainc_array(0.5 * nu, 0.5, z)
+    return np.where(x > 0.0, 1.0 - half_tail, half_tail)
 
 
 def _ln_t_tail_constant(nu: float) -> float:

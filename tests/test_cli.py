@@ -1,8 +1,12 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import tailpath
 from tailpath.cli import ConfigError, main, parse_model, parse_schedule
 from tailpath.copulas import (
     FGM,
@@ -104,21 +108,6 @@ class TestExitCodes:
         code = main(["mtcm", "--model", "fgm:theta=-1", "--out", str(tmp_path)])
         assert code == 3
         assert "mtcm solve" in capsys.readouterr().err
-
-    def test_bad_thread_env_is_config_error(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("TAILPATH_THREADS", "many")
-        code = main(
-            [
-                "path",
-                "--model",
-                "smo:alpha=0.35,beta=0.7",
-                "--schedule",
-                "0.1,0.05",
-                "--out",
-                str(tmp_path),
-            ]
-        )
-        assert code == 2
 
     def test_nonpositive_sample_size_is_config_error(self, tmp_path):
         code = main(
@@ -233,6 +222,24 @@ class TestDeterminism:
         same = (a / "sample.csv").read_bytes()
         assert same == (b / "sample.csv").read_bytes()
         assert same != (c / "sample.csv").read_bytes()
+
+    def test_repeated_main_calls_match_fresh_processes(self, tmp_path):
+        # main() reuses one parser across calls; no call may see state left by another.
+        runs = [
+            ("sample", ["sample", "--model", "sag:alpha=0.35,beta=0.7,theta=2", "--n", "300", "--seed", "4"]),
+            ("path", ["path", "--model", "smo:alpha=0.35,beta=0.7", "--schedule", "0.1,0.01,0.001"]),
+            ("sample", ["sample", "--model", "t:nu=3.5,rho=-0.4", "--n", "300", "--seed", "9"]),
+        ]
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tailpath.__file__)))
+        for i, (command, argv) in enumerate(runs):
+            here, fresh = tmp_path / f"here{i}", tmp_path / f"fresh{i}"
+            assert main(argv + ["--out", str(here)]) == 0
+            subprocess.run(
+                [sys.executable, "-m", "tailpath.cli", *argv, "--out", str(fresh)],
+                env=env, check=True, capture_output=True,
+            )
+            name = f"{command}.csv"
+            assert (here / name).read_bytes() == (fresh / name).read_bytes(), argv
 
 
 class TestSingularCommand:

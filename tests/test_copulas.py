@@ -20,6 +20,7 @@ from tailpath.copulas import (
 )
 from tailpath.errors import DomainError, TailPathError
 from tailpath.numerics import integrate_adaptive, student_t_pdf
+from tailpath.tailcopula import analytic_tail_copula, mtcm
 
 ALL_MODELS = [
     Independence(),
@@ -36,6 +37,29 @@ ALL_MODELS = [
 
 def model_id(model):
     return model.spec()
+
+
+def ag_conditional_reference(alpha, beta, theta, u, v):
+    """dC/du of the asymmetric Gumbel copula, written out in scalar math.
+
+    C = exp(s A(w)) with s = ln u + ln v and w = ln v / s, so dC/du =
+    C/u (A - w A'), and for the asymmetric logistic A - w A' = 1 - alpha +
+    alpha (q/M)^(theta-1), q = alpha (1-w), M = ((beta w)^theta + q^theta)^(1/theta).
+    """
+    lu, lv = math.log(u), math.log(v)
+    s = lu + lv
+    w = lv / s
+    p, q = beta * w, alpha * (1.0 - w)
+    m = max(p, q)
+    mix = m * (1.0 + (min(p, q) / m) ** theta) ** (1.0 / theta)
+    a = (1.0 - beta) * w + (1.0 - alpha) * (1.0 - w) + mix
+    return math.exp(s * a - lu) * (1.0 - alpha + alpha * (q / mix) ** (theta - 1.0))
+
+
+def inversion_draws(n, seed):
+    """The (u, p) pairs an inversion sampler draws: u first, then p, from one generator."""
+    rng = np.random.default_rng(seed)
+    return rng.random(n), rng.random(n)
 
 
 def t_copula_reference(nu, rho, u, v):
@@ -287,6 +311,20 @@ class TestPickands:
         with pytest.raises(DomainError):
             PickandsFn(0.35, 0.7, 2.0)(1.2)
 
+    def test_large_theta_does_not_underflow(self):
+        # A(1/2) = 1 - (alpha+beta)/2 + ((beta/2)^theta + (alpha/2)^theta)^(1/theta);
+        # at alpha = beta = 0.1 both powers are below 1e-650.
+        assert PickandsFn(0.1, 0.1, 500.0)(0.5) == pytest.approx(
+            0.9 + 0.05 * 2.0 ** (1.0 / 500.0), rel=1e-15
+        )
+
+    @pytest.mark.parametrize("theta", [260.0, 500.0])
+    def test_large_theta_mtcm(self, theta):
+        # Symmetric parameters put the profile maximum at b = 1, where
+        # Lambda(1, 1) = 2 (1 - A(1/2)) = 0.2 - 0.1 * 2^(1/theta).
+        res = mtcm(analytic_tail_copula(survival(AsymGumbel(0.1, 0.1, theta))))
+        assert abs(res.lambda_star - (0.2 - 0.1 * 2.0 ** (1.0 / theta))) <= 1e-9
+
 
 class TestSamplers:
     def test_comonotone_diagonal(self):
@@ -325,6 +363,52 @@ class TestSamplers:
                 emp = float(np.mean((pts[:, 0] <= u) & (pts[:, 1] <= v)))
                 se = math.sqrt(max(p * (1.0 - p), 1e-12) / n)
                 assert abs(emp - p) <= 4.0 * se, (model.spec(), u, v)
+
+    @pytest.mark.parametrize("theta", [-1.0, -0.3, 0.5, 1.0])
+    def test_fgm_draws_solve_conditional_equation(self, theta):
+        pts = FGM(theta).sample(2000, seed=13)
+        u, p = inversion_draws(2000, 13)
+        assert np.array_equal(pts[:, 0], u)
+        v = pts[:, 1]
+        dc_du = v * (1.0 + theta * (1.0 - v) * (1.0 - 2.0 * u))
+        assert np.max(np.abs(dc_du - p)) <= 1e-12
+
+    @pytest.mark.parametrize("theta", [-1.0, 1.0])
+    def test_fgm_quantile_edges(self, theta):
+        # a = theta (1 - 2u) = -1 with p = 0 makes the root's denominator 0.
+        u = np.array([0.0, 1.0, 0.0, 1.0, 0.5])
+        p = np.array([0.0, 0.0, 0.36, 0.36, 0.0])
+        v = FGM(theta)._conditional_quantile(u, p)
+        # At a = 1 the root is p / (1 + sqrt(1 - p)) = 0.2, at a = -1 it is sqrt(p) = 0.6.
+        at_zero, at_one = (0.2, 0.6) if theta > 0 else (0.6, 0.2)
+        assert v.tolist() == pytest.approx([0.0, 0.0, at_zero, at_one, 0.0], abs=1e-15)
+
+    def test_ag_conditional_reference_is_the_derivative(self):
+        alpha, beta, theta = 0.35, 0.7, 2.0
+        model = AsymGumbel(alpha, beta, theta)
+        step = 1e-6
+        for u in (0.2, 0.5, 0.8):
+            for v in (0.1, 0.4, 0.9):
+                fd = (model.cdf(u + step, v) - model.cdf(u - step, v)) / (2.0 * step)
+                want = ag_conditional_reference(alpha, beta, theta, u, v)
+                assert want == pytest.approx(fd, abs=1e-8)
+
+    def test_ag_quantile_edges(self):
+        u = np.array([0.0, 0.0, 0.3, 1.0 - 2.0**-53, 0.999])
+        p = np.array([0.0, 0.5, 0.0, 0.5, 1.0 - 2.0**-53])
+        v = AsymGumbel(0.35, 0.7, 500.0)._conditional_quantile(u, p)
+        assert np.all((v >= 0.0) & (v <= 1.0))
+        assert v[0] == 0.0 and v[2] == 0.0
+
+    @pytest.mark.parametrize("theta", [1.05, 2.0, 50.0, 500.0])
+    def test_ag_draws_solve_conditional_equation(self, theta):
+        for alpha, beta in ((0.35, 0.7), (0.1, 0.1), (1.0, 0.05)):
+            pts = AsymGumbel(alpha, beta, theta).sample(1000, seed=21)
+            u, p = inversion_draws(1000, 21)
+            assert np.array_equal(pts[:, 0], u)
+            for ui, vi, pi in zip(u, pts[:, 1], p):
+                h = ag_conditional_reference(alpha, beta, theta, ui, vi)
+                assert abs(h - pi) <= 1e-10, (alpha, beta, ui, vi, pi)
 
     def test_independence_kendall_tau(self):
         pts = Independence().sample(100_000, seed=17)

@@ -130,14 +130,6 @@ class TestTracePath:
         path = trace_path(survival(MarshallOlkin(0.35, 0.7)), sched)
         assert [p.u for p in path.points] == sched
 
-    def test_threads_match_sequential_values(self):
-        sched = [0.1, 0.02, 0.004]
-        model = survival(AsymGumbel(0.35, 0.7, 2.0))
-        seq = trace_path(model, sched, threads=1)
-        par = trace_path(model, sched, threads=4)
-        for a, b in zip(seq.points, par.points):
-            assert a.pi_value == pytest.approx(b.pi_value, abs=1e-9)
-
     def test_schedule_validation(self):
         model = Comonotone()
         with pytest.raises(ScheduleError):

@@ -16,6 +16,7 @@ from tailpath.numerics import (
     student_t_cdf,
     student_t_pdf,
     student_t_quantile,
+    _student_t_cdf_array,
 )
 from tailpath.singular import log_gap
 
@@ -88,6 +89,25 @@ class TestStudentT:
         p = student_t_cdf(-50.0, 4.0)
         assert 0.0 < p < 1e-6
         assert p == pytest.approx(scipy.stats.t.cdf(-50.0, df=4), rel=1e-10)
+
+    @pytest.mark.parametrize("nu", [0.3, 1.0, 3.7, 50.0, 1000.0])
+    def test_array_cdf_matches_scalar(self, nu):
+        # The array routine repeats the scalar arithmetic, so it must agree to
+        # the last bit, well inside 1e-14 relative.
+        edges = [0.0, 1e-300, -1e-300, 1e300, -1e300, math.inf, -math.inf]
+        draws = np.random.default_rng(3).standard_t(nu, 400)
+        xs = np.concatenate(
+            [edges, np.logspace(-3.0, 8.0, 45), -np.logspace(-3.0, 8.0, 45), draws]
+        )
+        got = _student_t_cdf_array(xs, nu)
+        for x, value in zip(xs, got):
+            assert value == student_t_cdf(float(x), nu), x
+
+    def test_array_cdf_domain_errors(self):
+        with pytest.raises(DomainError):
+            _student_t_cdf_array(np.array([0.5, math.nan]), 4.0)
+        with pytest.raises(DomainError):
+            _student_t_cdf_array(np.array([0.5]), 0.0)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
