@@ -18,8 +18,6 @@ import os
 import sys
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .copulas import (
     AsymGumbel,
     Comonotone,
@@ -33,6 +31,7 @@ from .copulas import (
 )
 from .errors import ScheduleError, TailPathError
 from .maxpath import PathResult, default_u_schedule, trace_path
+from .numerics import _linspace
 from .output import svg_line_chart, svg_scatter, write_csv, write_json, write_text
 from .singular import singular_root
 from .spectral import SpectralModel, h_density, profile_kernel, smoothed_profile
@@ -183,10 +182,12 @@ def _mo_params(model: Copula) -> tuple[float, float]:
 def _emit_profile(
     model: Copula, out: str, prefix: str, fmt: str, *, tol: float, cdf_tol: float
 ) -> MtcmResult:
+    import numpy as np  # logspace: 10.0 ** x differs from it in the last bit
+
     tail = _tail_for(model, cdf_tol=cdf_tol)
-    bs = np.logspace(-2.0, 2.0, 401)
+    bs = np.logspace(-2.0, 2.0, 401).tolist()
     with _op(f"profile curve for {model.spec()}"):
-        curve = profile_curve(tail, [float(b) for b in bs])
+        curve = profile_curve(tail, bs)
     with _op(f"mtcm solve for {model.spec()}"):
         result = mtcm(tail, tol=tol)
     write_csv(os.path.join(out, f"{prefix}profile.csv"), ("b", "lambda_profile"), curve)
@@ -258,11 +259,16 @@ def _emit_path(
 def _emit_singular(
     alpha: float, beta: float, out: str, prefix: str, fmt: str, schedule: Sequence[float] | None
 ) -> list[tuple]:
-    us = list(schedule) if schedule is not None else [float(u) for u in np.logspace(0.0, -4.0, 201)]
+    if schedule is None:
+        import numpy as np  # logspace: 10.0 ** x differs from it in the last bit
+
+        us = np.logspace(0.0, -4.0, 201).tolist()
+    else:
+        us = list(schedule)
     rows = []
     with _op("singular-curve roots"):
         for u in us:
-            pt = singular_root(alpha, beta, float(u))
+            pt = singular_root(alpha, beta, u)
             rows.append((pt.u, pt.x_star, (pt.u * pt.u) / pt.x_star, pt.ratio, pt.residual))
     write_csv(
         os.path.join(out, f"{prefix}singular.csv"),
@@ -350,8 +356,8 @@ def cmd_spectral(args: argparse.Namespace) -> int:
     out = _outdir(args)
     sm = SpectralModel(nu, rho)
     ws = [k / 200.0 for k in range(1, 200)]
-    aas = [float(a) for a in np.linspace(-6.0, 6.0, 241)]
-    ss = [float(s) for s in np.linspace(-5.0, 5.0, 201)]
+    aas = _linspace(-6.0, 6.0, 241)
+    ss = _linspace(-5.0, 5.0, 201)
     with _op("spectral density table"):
         h_rows = [(w, h_density(sm, w)) for w in ws]
     with _op("profile kernel table"):

@@ -7,7 +7,8 @@ Marshall-Olkin shocks, the Student-t scale mixture) and otherwise inverts the
 conditional distribution: draw u and p uniform and solve dC/du(u, v) = p for
 v. For FGM that is a quadratic with a closed-form root; the asymmetric Gumbel
 bisects its analytic dC/du over all draws at once. Every sampler works on
-whole arrays.
+whole arrays and imports numpy when called; the cdfs are plain float
+arithmetic, so evaluating a model never loads it.
 
 The survival transform is a first-class wrapper because lower-tail questions
 about a model are upper-tail questions about its survival copula.
@@ -16,9 +17,9 @@ about a model are upper-tail questions about its survival copula.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError
 from .numerics import student_t_cdf, student_t_quantile, student_t_pdf
@@ -39,7 +40,10 @@ __all__ = [
 ]
 
 
-_TINY = float(np.finfo(float).tiny)
+if TYPE_CHECKING:
+    import numpy as np
+
+_TINY = sys.float_info.min
 
 # Halvings of [0, 1] in the asymmetric Gumbel sampler: 2^-42 = 2.3e-13.
 _AG_BISECTIONS = 42
@@ -81,6 +85,8 @@ class Independence(Copula):
         return u * v
 
     def sample(self, n: int, seed: int | None = None) -> np.ndarray:
+        import numpy as np
+
         rng = np.random.default_rng(seed)
         return rng.random((n, 2))
 
@@ -98,6 +104,8 @@ class Comonotone(Copula):
         return min(u, v)
 
     def sample(self, n: int, seed: int | None = None) -> np.ndarray:
+        import numpy as np
+
         rng = np.random.default_rng(seed)
         u = rng.random(n)
         return np.column_stack([u, u])
@@ -125,6 +133,8 @@ class FGM(Copula):
         return u * v * (1.0 + self.theta * (1.0 - u) * (1.0 - v))
 
     def sample(self, n: int, seed: int | None = None) -> np.ndarray:
+        import numpy as np
+
         rng = np.random.default_rng(seed)
         u = rng.random(n)
         return np.column_stack([u, self._conditional_quantile(u, rng.random(n))])
@@ -137,6 +147,8 @@ class FGM(Copula):
         which does not cancel. The denominator is 0 only at a = -1 with
         p = 0, where v = 0.
         """
+        import numpy as np
+
         a = self.theta * (1.0 - 2.0 * u)
         root = np.sqrt(np.maximum((1.0 + a) ** 2 - 4.0 * a * p, 0.0))
         return 2.0 * p / np.maximum(1.0 + a + root, _TINY)
@@ -170,6 +182,8 @@ class MarshallOlkin(Copula):
         return min(u ** (1.0 - self.alpha) * v, u * v ** (1.0 - self.beta))
 
     def sample(self, n: int, seed: int | None = None) -> np.ndarray:
+        import numpy as np
+
         rng = np.random.default_rng(seed)
         a, b = self.alpha, self.beta
         z12 = rng.exponential(1.0, size=n)
@@ -270,6 +284,8 @@ class AsymGumbel(Copula):
         with q = alpha (1 - w) and M the mix of PickandsFn, which is taken in
         the same rescaled form (here in logs). h rises from 0 to 1 in v.
         """
+        import numpy as np
+
         a, b, t = self.alpha, self.beta, self.theta
         ln_v = np.log(v)
         s = ln_u + ln_v
@@ -285,6 +301,8 @@ class AsymGumbel(Copula):
         return np.exp(s * pick - ln_u) * (1.0 - a + a * np.exp((t - 1.0) * ln_qm))
 
     def sample(self, n: int, seed: int | None = None) -> np.ndarray:
+        import numpy as np
+
         rng = np.random.default_rng(seed)
         u = rng.random(n)
         return np.column_stack([u, self._conditional_quantile(u, rng.random(n))])
@@ -297,6 +315,8 @@ class AsymGumbel(Copula):
         point of h inside it, which keeps |h(v|u) - p| at rounding level
         where the density is steep (large theta).
         """
+        import numpy as np
+
         # u = 0 has probability 2^-53 a draw; the smallest normal stands in for it.
         ln_u = np.log(np.maximum(u, _TINY))
         lo, hi = np.zeros(u.shape), np.ones(u.shape)
@@ -470,6 +490,8 @@ class StudentT(Copula):
         return _t_cdf_quadrature(nu, rho, xu, yv)
 
     def sample(self, n: int, seed: int | None = None) -> np.ndarray:
+        import numpy as np
+
         rng = np.random.default_rng(seed)
         nu, rho = self.nu, self.rho
         z1 = rng.standard_normal(n)

@@ -86,7 +86,6 @@ def maximize_slice(
     *,
     n_grid: int = 512,
     tol: float = 1e-10,
-    warm_hint: float | None = None,
 ) -> PathPoint:
     """Maximize x -> C(x, u^2/x) over [u^2, 1] at one level u.
 
@@ -96,10 +95,6 @@ def maximize_slice(
     flags a maximizer within one grid cell of u^2 or 1, the signature of a
     model whose slice suprema sit at inadmissible corners (tail-independent
     families like FGM).
-
-    warm_hint is an advisory extra candidate (an x value, typically scaled
-    from the previous level's maximizer): it can only add a refinement around
-    itself, never shrink the searched grid.
     """
     if not 0.0 < u <= 1.0:
         raise DomainError(f"maximize_slice needs u in (0, 1], got {u}")
@@ -120,21 +115,6 @@ def maximize_slice(
 
     result = maximize_1d(slice_value, lo_s, hi_s, n_grid=n_grid, tol=tol)
     step = (hi_s - lo_s) / (n_grid - 1)
-    if warm_hint is not None:
-        x_h = min(1.0, max(u_sq, float(warm_hint)))
-        s_h = math.log(x_h)
-        if slice_value(s_h) > result.max_value:
-            cell = maximize_1d(
-                slice_value,
-                max(lo_s, s_h - step),
-                min(hi_s, s_h + step),
-                n_grid=3,
-                tol=tol,
-            )
-            if cell.max_value > result.max_value or (
-                cell.max_value == result.max_value and cell.argmax < result.argmax
-            ):
-                result = cell
     s_star = result.argmax
     x_star = min(1.0, max(u_sq, math.exp(s_star)))
     at_boundary = (s_star - lo_s) <= step or (hi_s - s_star) <= step
@@ -160,24 +140,21 @@ def trace_path(
     lambda_phi_star accelerates pi_over_u and b_limit accelerates ratio_b,
     both by Aitken delta-squared on the last three successful points, with
     the spread-based estimate from the accelerator as the reported error.
+    lambda_phi_star is a tail dependence coefficient, so it is clamped into
+    [0, 1]: for a tail-independent model the extrapolation can land a
+    rounding error below 0. lambda_err is the unclamped estimate.
 
-    Each slice is warm-started from the previous maximizer scaled to the new
-    level (on top of the full grid, never instead of it). Per-point cdf
-    failures are recorded in failures and skipped rather than aborting the
-    trace.
+    Per-point cdf failures are recorded in failures and skipped rather than
+    aborting the trace.
     """
     us = _validate_schedule(default_u_schedule() if u_schedule is None else u_schedule)
     points: list[PathPoint] = []
     failures: list[tuple[float, str]] = []
-    hint: float | None = None
     for u in us:
         try:
-            point = maximize_slice(model, u, n_grid=n_grid, tol=tol, warm_hint=hint)
+            points.append(maximize_slice(model, u, n_grid=n_grid, tol=tol))
         except TailPathError as exc:
             failures.append((u, str(exc)))
-            continue
-        points.append(point)
-        hint = point.ratio_b * u
     if not points:
         raise ScheduleError("every scheduled slice failed; see failures")
     lam_seq = [p.pi_over_u for p in points]
@@ -190,7 +167,7 @@ def trace_path(
         b_lim, b_err = b_seq[-1], math.inf
     return PathResult(
         points=tuple(points),
-        lambda_phi_star=lam,
+        lambda_phi_star=min(max(lam, 0.0), 1.0),
         lambda_err=lam_err,
         b_limit=b_lim,
         b_err=b_err,

@@ -18,18 +18,19 @@ Brent. Maximization is a coarse grid scan followed by golden-section
 refinement around the best cell, which is robust for the kinked profiles this
 package optimizes (piecewise-smooth with isolated corners).
 
-Scalar routines accept and return plain floats. The grid scan uses numpy, and
-so does a private array twin of student_t_cdf that the Student-t sampler calls
-once per sample; it repeats the scalar arithmetic, so the two agree bit for bit.
+Scalar routines accept and return plain floats, and the grid scan runs on
+plain lists, so nothing here loads numpy until an array is built. The one
+array routine is a private twin of student_t_cdf that the Student-t sampler
+calls once per sample; it imports numpy when called and repeats the scalar
+arithmetic, so the two agree bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import BracketError, ConvergenceError, DomainError
 
@@ -45,7 +46,10 @@ __all__ = [
     "student_t_quantile",
 ]
 
-_EPS = float(np.finfo(float).eps)
+if TYPE_CHECKING:
+    import numpy as np
+
+_EPS = sys.float_info.epsilon
 
 # 15-point Kronrod abscissae on [-1, 1] (positive half; node 0 included once)
 # with the embedded 7-point Gauss rule on the odd-indexed nodes.
@@ -185,6 +189,8 @@ def _betainc_array(a: float, b: float, x: np.ndarray) -> np.ndarray:
     versions can differ from them by an ulp, and a ln x reaches -700 in the
     tails, where an ulp of it is 1e-13 of the result.
     """
+    import numpy as np
+
     swap = x > (a + 1.0) / (a + b + 2.0)
     # x = 0 and x = 1 stay inactive with value 0, which the swap turns into
     # the scalar routine's 0 and 1; their placeholder 0.5 is never read.
@@ -251,6 +257,8 @@ def _betainc_array(a: float, b: float, x: np.ndarray) -> np.ndarray:
 
 def _student_t_cdf_array(x: np.ndarray, nu: float) -> np.ndarray:
     """student_t_cdf over an array of x, equal entry by entry to the scalar calls."""
+    import numpy as np
+
     if nu <= 0.0:
         raise DomainError(f"student_t_cdf requires nu > 0, got {nu}")
     x = np.asarray(x, dtype=float)
@@ -509,6 +517,31 @@ class OptimResult1D:
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
+def _linspace(lo: float, hi: float, n: int) -> list[float]:
+    """n >= 2 evenly spaced floats from lo to hi, the same bits as numpy.linspace.
+
+    Entry i is lo + i * step with step = (hi - lo) / (n - 1), as numpy forms
+    it, and the last entry is hi itself.
+    """
+    step = (hi - lo) / (n - 1)
+    xs = [lo + i * step for i in range(n - 1)]
+    xs.append(float(hi))
+    return xs
+
+
+def _grid_scan(
+    f: Callable[[float], float], lo: float, hi: float, n: int
+) -> tuple[list[float], list[float], int]:
+    """f on _linspace(lo, hi, n) with non-finite values taken as -inf.
+
+    Returns the grid, the values and the first index of the largest value,
+    so ties go to the smaller abscissa.
+    """
+    xs = _linspace(lo, hi, n)
+    fs = [v if math.isfinite(v) else -math.inf for v in map(f, xs)]
+    return xs, fs, fs.index(max(fs))
+
+
 def maximize_1d(
     f: Callable[[float], float],
     lo: float,
@@ -531,20 +564,14 @@ def maximize_1d(
         raise DomainError(f"maximize_1d needs n_grid >= 3, got {n_grid}")
     if tol <= 0.0:
         raise DomainError("maximize_1d needs tol > 0")
-    xs = np.linspace(lo, hi, n_grid)
-    fs = np.empty(n_grid)
-    for i, x in enumerate(xs):
-        v = f(float(x))
-        fs[i] = v if math.isfinite(v) else -math.inf
+    xs, fs, i_best = _grid_scan(f, lo, hi, n_grid)
     n_evals = n_grid
-    i_best = int(np.argmax(fs))  # first occurrence: ties go to smaller abscissa
-    best_x = float(xs[i_best])
-    best_f = float(fs[i_best])
+    best_x, best_f = xs[i_best], float(fs[i_best])
     if not math.isfinite(best_f):
         raise DomainError("objective returned no finite values on the grid")
 
-    a = float(xs[max(i_best - 1, 0)])
-    b = float(xs[min(i_best + 1, n_grid - 1)])
+    a = xs[max(i_best - 1, 0)]
+    b = xs[min(i_best + 1, n_grid - 1)]
     converged = (b - a) <= tol
     x1 = b - _INV_GOLDEN * (b - a)
     x2 = a + _INV_GOLDEN * (b - a)

@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .copulas import (
     AsymGumbel,
     Comonotone,
@@ -32,7 +30,7 @@ from .copulas import (
     Survival,
 )
 from .errors import ConvergenceError, DegenerateTailError, DomainError
-from .numerics import aitken_limit, maximize_1d, student_t_cdf
+from .numerics import _grid_scan, aitken_limit, maximize_1d, student_t_cdf
 
 __all__ = [
     "MinTailCopula",
@@ -323,6 +321,8 @@ def mtcm(
     Raises DegenerateTailError when the profile maximum over the initial
     bracket is below degeneracy_threshold: the tail copula is identically
     zero at this resolution and every downstream tail quantity is undefined.
+    A non-finite profile value counts as -inf, as in maximize_1d, and a
+    profile with no finite value on the grid raises DomainError.
 
     The uniqueness flag is a grid-level diagnostic: it clears when some grid
     point outside the refined cell comes within unique_atol of the maximum
@@ -330,6 +330,8 @@ def mtcm(
     """
     if bracket <= 1.0:
         raise DomainError(f"mtcm bracket must exceed 1, got {bracket}")
+    if n_grid < 3:
+        raise DomainError(f"mtcm needs n_grid >= 3, got {n_grid}")
 
     def profile(s: float) -> float:
         e = math.exp(s)
@@ -339,17 +341,17 @@ def mtcm(
     expansions = 0
     n_evals = 0
     while True:
-        ss = np.linspace(-s_max, s_max, n_grid)
-        fs = np.array([profile(float(s)) for s in ss])
+        ss, fs, i_best = _grid_scan(profile, -s_max, s_max, n_grid)
         n_evals += n_grid
-        i_best = int(np.argmax(fs))
         f_best = float(fs[i_best])
+        if not math.isfinite(f_best):
+            raise DomainError("tail profile returned no finite values on the grid")
         if f_best < degeneracy_threshold:
             raise DegenerateTailError(
                 f"profile maximum {f_best:.3e} below degeneracy threshold "
                 f"{degeneracy_threshold:.1e}: tail copula is degenerate"
             )
-        edge_dist = min(float(ss[i_best]) + s_max, s_max - float(ss[i_best]))
+        edge_dist = min(ss[i_best] + s_max, s_max - ss[i_best])
         near_edge = edge_dist < 0.05 * (2.0 * s_max)
         provably_inside = f_best > math.exp(-s_max)
         if near_edge and not provably_inside:
@@ -364,18 +366,18 @@ def mtcm(
             continue
         break
 
-    lo = float(ss[max(i_best - 1, 0)])
-    hi = float(ss[min(i_best + 1, n_grid - 1)])
+    lo = ss[max(i_best - 1, 0)]
+    hi = ss[min(i_best + 1, n_grid - 1)]
     refined = maximize_1d(profile, lo, hi, n_grid=3, tol=tol)
     n_evals += refined.n_evals
     s_star, f_star = refined.argmax, refined.max_value
-    if f_best > f_star or (f_best == f_star and float(ss[i_best]) < s_star):
-        s_star, f_star = float(ss[i_best]), f_best
+    if f_best > f_star or (f_best == f_star and ss[i_best] < s_star):
+        s_star, f_star = ss[i_best], f_best
 
-    near = np.nonzero(fs >= f_best - unique_atol)[0]
-    unique = bool(near.size > 0 and near.min() >= i_best - 1 and near.max() <= i_best + 1)
+    near = [i for i, f in enumerate(fs) if f >= f_best - unique_atol]
+    unique = bool(near) and near[0] >= i_best - 1 and near[-1] <= i_best + 1
 
-    samples = tuple((float(math.exp(s)), float(f)) for s, f in zip(ss, fs))
+    samples = tuple((math.exp(s), f) for s, f in zip(ss, fs))
     return MtcmResult(
         b_star=math.exp(s_star),
         lambda_star=f_star,

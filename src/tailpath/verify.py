@@ -5,6 +5,8 @@ does. The suites pair independent routes wherever two exist (closed form vs
 solver, quadrature vs algebra, path limit vs profile maximum, sampler vs
 cdf), so a regression in either route trips the comparison. The CLI `verify`
 command and the acceptance tests are thin wrappers over run_suite/run_all.
+Suites that draw random inputs or build grids import numpy when they run, so
+importing this module (which the CLI parser does) does not load it.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ import math
 import time
 from dataclasses import dataclass
 from typing import Callable
-
-import numpy as np
 
 from .copulas import (
     AsymGumbel,
@@ -76,6 +76,8 @@ def _leq(name: str, value: float, bound: float) -> CheckResult:
 
 def smo_mtcm_suite() -> list[CheckResult]:
     """MTCM solver against the survival-MO closed forms sqrt(b/a), sqrt(ab)."""
+    import numpy as np
+
     start = time.perf_counter()
     out = []
     res = mtcm(MinTailCopula(0.35, 0.7))
@@ -143,6 +145,8 @@ def equivalence_suite() -> list[CheckResult]:
 
 def t_cdf_suite() -> list[CheckResult]:
     """Dunnett-Sobel closed form against the quadrature route on a 12x12 grid."""
+    import numpy as np
+
     grid = np.linspace(0.02, 0.98, 12)
     out = []
     for nu in (1, 2, 3, 4, 5, 10, 30):
@@ -159,6 +163,8 @@ def t_cdf_suite() -> list[CheckResult]:
 
 def singular_suite() -> list[CheckResult]:
     """Singular-curve root quality, Cardano agreement, small-u asymptotics."""
+    import numpy as np
+
     alpha, beta = 0.35, 0.7
     worst = 0.0
     for u in np.linspace(0.02, 0.98, 50):
@@ -179,6 +185,8 @@ def singular_suite() -> list[CheckResult]:
 
 def spectral_suite() -> list[CheckResult]:
     """Spectral density mass, symmetry, tail-copula equivalence, t identity."""
+    import numpy as np
+
     start = time.perf_counter()
     out = []
     grid_xy = np.logspace(-1.0, 1.0, 10)
@@ -237,6 +245,8 @@ def interior_mass_weighted(sm: SpectralModel) -> float:
 
 def kernel_suite() -> list[CheckResult]:
     """Evenness, monotonicity, envelope, and derivative of the profile kernel."""
+    import numpy as np
+
     out = []
     for nu, rho in _T_PAIRS:
         sm = SpectralModel(nu, rho)
@@ -276,6 +286,8 @@ def kernel_suite() -> list[CheckResult]:
 
 def fgm_suite() -> list[CheckResult]:
     """FGM(theta=-1): boundary slice maximizers and the degeneracy diagnostic."""
+    import numpy as np
+
     model = FGM(-1.0)
     out = []
     all_boundary = True
@@ -349,6 +361,8 @@ def _property_families() -> list[tuple[str, Copula, float]]:
 
 def properties_suite() -> list[CheckResult]:
     """Bound, monotonicity, and sampling invariants across every family."""
+    import numpy as np
+
     out = []
     grid = np.linspace(0.0, 1.0, 50)
     for label, model, slack in _property_families():

@@ -242,6 +242,36 @@ class TestDeterminism:
             assert (here / name).read_bytes() == (fresh / name).read_bytes(), argv
 
 
+class TestColdStart:
+    def test_path_tools_do_not_load_numpy(self, tmp_path):
+        # Only commands that build arrays may import numpy; sample still works after.
+        script = """
+import sys
+import tailpath, tailpath.cli
+from tailpath.cli import main
+
+out = sys.argv[1]
+runs = [
+    ["path", "--model", "smo:alpha=0.35,beta=0.7"],
+    ["path", "--model", "sag:alpha=0.35,beta=0.7,theta=2"],
+    ["mtcm", "--model", "sag:alpha=0.35,beta=0.7,theta=2"],
+    ["spectral", "--model", "t:nu=4,rho=0.5"],
+    ["singular", "--model", "smo:alpha=0.35,beta=0.7", "--schedule", "0.1,0.01,0.001"],
+]
+for i, argv in enumerate(runs):
+    assert main(argv + ["--out", f"{out}/{i}"]) == 0, argv
+assert "numpy" not in sys.modules, "numpy was imported"
+assert main(["sample", "--model", "fgm:theta=0.6", "--n", "100", "--out", f"{out}/s"]) == 0
+assert "numpy" in sys.modules
+"""
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tailpath.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert len(read(tmp_path / "s" / "sample.csv").splitlines()) == 101
+
+
 class TestSingularCommand:
     def test_table(self, tmp_path):
         code = main(

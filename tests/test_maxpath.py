@@ -19,6 +19,7 @@ from tailpath.maxpath import (
     maximize_slice,
     trace_path,
 )
+from tailpath.numerics import aitken_limit
 from tailpath.tailcopula import MinTailCopula
 
 
@@ -85,12 +86,6 @@ class TestMaximizeSlice:
         assert point.phi_star == 1.0
         assert point.pi_value == 1.0
 
-    def test_warm_hint_cannot_hurt(self):
-        model = survival(MarshallOlkin(0.35, 0.7))
-        base = maximize_slice(model, 0.02)
-        hinted = maximize_slice(model, 0.02, warm_hint=base.phi_star)
-        assert hinted.pi_value >= base.pi_value - 1e-15
-
     def test_grid_doubling_stability(self):
         model = survival(AsymGumbel(0.35, 0.7, 2.0))
         a = maximize_slice(model, 0.01, n_grid=512)
@@ -140,6 +135,20 @@ class TestTracePath:
             trace_path(model, [0.5, 1e-7])
         with pytest.raises(ScheduleError):
             trace_path(model, [1.5, 0.1])
+
+    @pytest.mark.parametrize(
+        "model",
+        [FGM(-1.0), FGM(0.5), FGM(1.0), MarshallOlkin(0.4, 0.7)],
+        ids=["fgm-1", "fgm0.5", "fgm1", "mo"],
+    )
+    def test_lambda_phi_star_clamped_to_unit_interval(self, model):
+        # Tail-independent models extrapolate to a rounding error around 0,
+        # which lands below 0 for these; the error estimate stays as computed.
+        path = trace_path(model)
+        lam, lam_err = aitken_limit([p.pi_over_u for p in path.points])
+        assert lam < 0.0
+        assert path.lambda_phi_star == 0.0
+        assert path.lambda_err == lam_err
 
     def test_short_schedule_reports_infinite_error(self):
         path = trace_path(Comonotone(), [0.1, 0.05])

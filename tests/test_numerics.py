@@ -16,6 +16,7 @@ from tailpath.numerics import (
     student_t_cdf,
     student_t_pdf,
     student_t_quantile,
+    _linspace,
     _student_t_cdf_array,
 )
 from tailpath.singular import log_gap
@@ -225,6 +226,33 @@ class TestMaximize1d:
     def test_bad_interval(self):
         with pytest.raises(DomainError):
             maximize_1d(lambda x: x, 1.0, 0.0)
+
+
+def _same_bits(xs, lo, hi, n):
+    return np.array(xs).tobytes() == np.linspace(lo, hi, n).tobytes()
+
+
+class TestLinspace:
+    # numpy.linspace is the reference: grids must not move by a bit.
+    @pytest.mark.parametrize(
+        "lo, hi, n",
+        [(-6.0, 6.0, 241), (-5.0, 5.0, 201), (0.0, 1.0, 17)]
+        # mtcm: the initial bracket and each tenfold widening
+        + [(-math.log(1e3) - k * math.log(10.0), math.log(1e3) + k * math.log(10.0), 512)
+           for k in range(7)]
+        # maximize_slice at each default level
+        + [(2.0 * math.log(10.0 ** (-1.0 - 0.5 * k)), 0.0, 512) for k in range(7)],
+    )
+    def test_grids_in_use(self, lo, hi, n):
+        assert _same_bits(_linspace(lo, hi, n), lo, hi, n)
+
+    @pytest.mark.parametrize("n", [3, 12, 512])
+    def test_random_intervals(self, n):
+        rng = np.random.default_rng(20261018 + n)
+        for _ in range(2000):
+            lo = float(rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-6.0, 6.0))
+            hi = lo + float(10.0 ** rng.uniform(-6.0, 6.0))
+            assert _same_bits(_linspace(lo, hi, n), lo, hi, n), (lo, hi)
 
 
 class TestAitken:

@@ -226,6 +226,20 @@ class TestMtcm:
         with pytest.raises(DegenerateTailError):
             mtcm(ZeroTailCopula())
 
+    def test_nan_profile_values_cannot_win(self):
+        # A NaN window near b = 0.5 must not hijack the scan; the true peak of
+        # min(0.3 b, 0.6 / b) is 0.3 sqrt(2) at b = sqrt(2).
+        def tail(x, y):
+            return math.nan if abs(x - 0.5) < 0.01 else min(0.3 * x, 0.6 * y)
+
+        res = mtcm(tail)
+        assert abs(res.lambda_star - 0.3 * math.sqrt(2.0)) <= 1e-8
+        assert res.b_star == pytest.approx(math.sqrt(2.0), abs=1e-6)
+
+    def test_all_nonfinite_profile_raises(self):
+        with pytest.raises(DomainError):
+            mtcm(lambda x, y: math.nan)
+
     def test_degenerate_numeric_fgm(self):
         with pytest.raises(DegenerateTailError):
             mtcm(NumericTailCopula(FGM(-1.0)))
@@ -238,6 +252,8 @@ class TestMtcm:
     def test_bad_bracket(self):
         with pytest.raises(DomainError):
             mtcm(MinTailCopula(0.35, 0.7), bracket=0.5)
+        with pytest.raises(DomainError):
+            mtcm(MinTailCopula(0.35, 0.7), n_grid=1)
 
 
 class TestProfileCurve:
