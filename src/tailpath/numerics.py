@@ -51,6 +51,10 @@ if TYPE_CHECKING:
 
 _EPS = sys.float_info.epsilon
 
+# |x| beyond which student_t_cdf takes its far-tail form (x^2 > 1e300 is
+# near overflow), for nu below the same bound.
+_T_FAR = 1e150
+
 # 15-point Kronrod abscissae on [-1, 1] (positive half; node 0 included once)
 # with the embedded 7-point Gauss rule on the odd-indexed nodes.
 _KRONROD_NODES = (
@@ -161,6 +165,12 @@ def student_t_cdf(x: float, nu: float) -> float:
 
     Uses T_nu(x) = 1 - I_z(nu/2, 1/2) / 2 for x > 0 with z = nu / (nu + x^2),
     and symmetry for x < 0, so both tails are computed without cancellation.
+    x^2 overflows past |x| = 1.3e154 and nu / x^2 underflows further out: at
+    nu = 1, x = -1e200 the computed z is 0, while T is 3.2e-201. So past
+    |x| = _T_FAR, for nu < _T_FAR, the half tail is z^a / (2 a B(a, 1/2))
+    with a = nu/2 and z^a = (sqrt(nu) / |x|)^nu (1 + nu / x^2)^-a. The
+    factor (1 - z)^(1/2) and the continued fraction are 1 + O(z) with
+    z < 1e-150, so they are 1 to double precision.
     """
     if nu <= 0.0:
         raise DomainError(f"student_t_cdf requires nu > 0, got {nu}")
@@ -170,8 +180,15 @@ def student_t_cdf(x: float, nu: float) -> float:
         return 1.0 if x > 0 else 0.0
     if x == 0.0:
         return 0.5
-    z = nu / (nu + x * x)
-    half_tail = 0.5 * betainc_regularized(0.5 * nu, 0.5, z)
+    if abs(x) > _T_FAR > nu:
+        a = 0.5 * nu
+        ax = abs(x)
+        ln_beta = math.lgamma(a) + math.lgamma(0.5) - math.lgamma(a + 0.5)
+        z_a = (math.sqrt(nu) / ax) ** nu * math.exp(-a * math.log1p(nu / ax / ax))
+        half_tail = 0.5 * z_a * math.exp(-ln_beta) / a
+    else:
+        z = nu / (nu + x * x)
+        half_tail = 0.5 * betainc_regularized(0.5 * nu, 0.5, z)
     return 1.0 - half_tail if x > 0.0 else half_tail
 
 
@@ -264,12 +281,16 @@ def _student_t_cdf_array(x: np.ndarray, nu: float) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if np.isnan(x).any():
         raise DomainError("student_t_cdf got NaN argument")
-    # |x| past 1e154 gives z = 0, as x = +-inf does, and x = 0 gives z = 1,
-    # which _betainc_array maps to the scalar routine's 0 and 1.
+    # x = 0 gives z = 1, which _betainc_array maps to the scalar routine's 1.
+    # Entries past _T_FAR, infinities included, take the scalar routine.
+    far = np.abs(x) > _T_FAR
     with np.errstate(over="ignore"):
         z = nu / (nu + x * x)
     half_tail = 0.5 * _betainc_array(0.5 * nu, 0.5, z)
-    return np.where(x > 0.0, 1.0 - half_tail, half_tail)
+    out = np.where(x > 0.0, 1.0 - half_tail, half_tail)
+    if far.any():
+        out[far] = [student_t_cdf(t, nu) for t in x[far].tolist()]
+    return out
 
 
 def _ln_t_tail_constant(nu: float) -> float:
@@ -286,6 +307,10 @@ def _ln_t_tail_constant(nu: float) -> float:
     )
 
 
+# Plain Newton steps of student_t_quantile before it steps on ln T instead.
+_T_QUANTILE_STEPS = 120
+
+
 def student_t_quantile(p: float, nu: float) -> float:
     """Inverse of student_t_cdf: Newton iteration with a bisection safeguard.
 
@@ -294,6 +319,14 @@ def student_t_quantile(p: float, nu: float) -> float:
     x0 = -(K / p)^(1/nu) inverts the power-law tail bound T_nu(x) <= K |x|^-nu
     (_ln_t_tail_constant). Newton starts at x0; the bound is tight in the
     far tail, which is where the copula cdf asks for quantiles.
+
+    Where it is not tight (large nu, tiny p), the iterate can land far on
+    the side where T_nu(x) >> p, and from there each Newton step on T_nu
+    moves by about one Mills ratio and shrinks T_nu - p only by 1/e (at
+    p = 1e-150, nu = 1000: 0.067 per step from x = -22.2, with the root at
+    -31.6). So after _T_QUANTILE_STEPS steps the iteration steps on
+    ln T_nu - ln p instead, on that side. Every quantile that the plain
+    iteration finds within those steps is returned exactly as it finds it.
     """
     if nu <= 0.0:
         raise DomainError(f"student_t_quantile requires nu > 0, got {nu}")
@@ -311,8 +344,9 @@ def student_t_quantile(p: float, nu: float) -> float:
     lo, hi = -math.exp(ln_mag), 0.0
 
     x = lo
-    for _ in range(120):
-        f = student_t_cdf(x, nu) - p
+    for k in range(2 * _T_QUANTILE_STEPS):
+        t = student_t_cdf(x, nu)
+        f = t - p
         if f > 0.0:
             hi = x
         elif f < 0.0:
@@ -322,7 +356,10 @@ def student_t_quantile(p: float, nu: float) -> float:
         df = student_t_pdf(x, nu)
         step_ok = df > 0.0
         if step_ok:
-            x_new = x - f / df
+            if f > 0.0 and k >= _T_QUANTILE_STEPS:
+                x_new = x - t * math.log(t / p) / df
+            else:
+                x_new = x - f / df
             step_ok = lo < x_new < hi
         if not step_ok:
             x_new = 0.5 * (lo + hi)
@@ -602,9 +639,12 @@ def aitken_limit(seq: Sequence[float]) -> tuple[float, float]:
     """Accelerated limit of a convergent sequence via Aitken's delta-squared.
 
     Uses the last three terms; the returned error estimate is the spread
-    between the accelerated value and the final raw term. Falls back to the
-    final term when the second difference is too small to divide by (already
-    converged, or not geometric), with the last first-difference as error.
+    between the accelerated value and the final raw term, which is
+    |d2 q / (1 - q)| with first differences d1, d2 and ratio q = d2 / d1:
+    the sum of the geometric corrections after the final term. Falls back to
+    the final term when the second difference is too small to divide by
+    (already converged, or not geometric), with the last first-difference
+    as error.
     """
     if len(seq) < 3:
         raise DomainError(f"aitken_limit needs at least 3 terms, got {len(seq)}")

@@ -99,6 +99,19 @@ class TestClosedFormValues:
         want = min(0.5 ** 0.65 * 0.5, 0.5 * 0.5 ** 0.3)
         assert MarshallOlkin(0.35, 0.7).cdf(0.5, 0.5) == pytest.approx(want, rel=1e-15)
 
+    def test_min_forms_match_builtin_min(self):
+        # The cdfs spell min out; on ties and at the 0 and 1 edges they must
+        # return what builtin min returns, bit for bit.
+        rng = np.random.default_rng(7)
+        grid = [0.0, 1.0, 0.5, 0.25, 1e-300, 1.0 - 2.0 ** -53, *rng.random(40).tolist()]
+        mo_params = [(0.35, 0.7), (1.0, 1.0), (0.5, 0.5), (1.0, 0.2)]
+        for u in grid:
+            for v in [u, *grid]:
+                assert Comonotone().cdf(u, v) == min(u, v)
+                for a, b in mo_params:
+                    want = 0.0 if u == 0.0 or v == 0.0 else min(u ** (1.0 - a) * v, u * v ** (1.0 - b))
+                    assert MarshallOlkin(a, b).cdf(u, v) == want
+
     def test_survival_identity(self):
         base = MarshallOlkin(0.35, 0.7)
         s = survival(base)
@@ -135,6 +148,18 @@ class TestParameterValidation:
     def test_cdf_domain(self):
         with pytest.raises(DomainError):
             Independence().cdf(-0.1, 0.5)
+
+    @pytest.mark.parametrize(
+        "model",
+        [Comonotone(), MarshallOlkin(0.35, 0.7), survival(MarshallOlkin(0.35, 0.7))],
+        ids=lambda m: m.spec(),
+    )
+    @pytest.mark.parametrize(
+        "u, v", [(math.nan, 0.5), (0.5, math.nan), (-0.1, 0.5), (0.5, 1.5), (-1e-17, 0.5)]
+    )
+    def test_min_form_cdf_domain(self, model, u, v):
+        with pytest.raises(DomainError):
+            model.cdf(u, v)
 
     def test_survival_rejects_double_wrap(self):
         with pytest.raises(DomainError):

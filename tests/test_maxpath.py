@@ -19,8 +19,20 @@ from tailpath.maxpath import (
     maximize_slice,
     trace_path,
 )
-from tailpath.numerics import aitken_limit
+from tailpath.numerics import aitken_limit, maximize_1d
 from tailpath.tailcopula import MinTailCopula
+
+
+def _slice_with_builtin_clamps(model, u, n_grid=512, tol=1e-10):
+    """maximize_slice's search with the clamps written as builtin min/max."""
+    u_sq = u * u
+
+    def slice_value(s):
+        x = min(1.0, max(u_sq, math.exp(s)))
+        return model.cdf(x, min(1.0, u_sq / x))
+
+    result = maximize_1d(slice_value, 2.0 * math.log(u), 0.0, n_grid=n_grid, tol=tol)
+    return min(1.0, max(u_sq, math.exp(result.argmax))), result.max_value
 
 
 class TestMaximizeSlice:
@@ -95,6 +107,22 @@ class TestMaximizeSlice:
     def test_domain(self):
         with pytest.raises(DomainError):
             maximize_slice(Comonotone(), 0.0)
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            survival(MarshallOlkin(0.35, 0.7)),
+            survival(AsymGumbel(0.35, 0.7, 2.0)),
+            Comonotone(),
+            MarshallOlkin(0.35, 0.7),
+            FGM(0.6),
+        ],
+        ids=lambda m: m.spec(),
+    )
+    def test_same_bits_as_builtin_clamps(self, model):
+        for u in default_u_schedule():
+            point = maximize_slice(model, u)
+            assert (point.phi_star, point.pi_value) == _slice_with_builtin_clamps(model, u)
 
 
 class TestTracePath:

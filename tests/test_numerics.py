@@ -81,6 +81,25 @@ class TestStudentT:
             for p in (0.5000001, 0.6, 0.9, 1.0 - 1e-9):
                 assert student_t_quantile(p, nu) == -student_t_quantile(1.0 - p, nu)
 
+    @pytest.mark.parametrize("nu", [30.0, 200.0, 1000.0])
+    @pytest.mark.parametrize("p", [1e-150, 1e-300])
+    def test_far_quantiles_converge(self, nu, p):
+        # From the side where T >> p, plain Newton creeps by a Mills ratio per
+        # step; at nu = 1000, p = 1e-150 that takes more than 120 steps.
+        q = student_t_quantile(p, nu)
+        assert abs(student_t_cdf(q, nu) / p - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "x, nu, want",
+        [
+            (-1e200, 1.0, 3.1830988618379068e-201),  # 1 / (pi 1e200), 30-digit mpmath
+            (-1e300, 0.5, 3.2070097541422289e-151),
+        ],
+    )
+    def test_cdf_past_squaring_overflow(self, x, nu, want):
+        assert student_t_cdf(x, nu) == pytest.approx(want, rel=2e-15, abs=0.0)
+        assert student_t_cdf(-x, nu) == 1.0 - student_t_cdf(x, nu)
+
     def test_quantile_beyond_float_range_raises(self):
         with pytest.raises(ConvergenceError):
             student_t_quantile(1e-300, 0.3)

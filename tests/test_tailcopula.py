@@ -83,6 +83,23 @@ class TestClosedForms:
             assert tail(c * x, c * y) == pytest.approx(c * tail(x, y), abs=1e-10)
             assert tail(x, y) <= min(x, y) + 1e-12
 
+    def test_smo_matches_builtin_min(self):
+        # tail_copula_smo spells min out; ties and the axes must give what
+        # builtin min gives, bit for bit.
+        rng = np.random.default_rng(7)
+        grid = [0.0, 1.0, 0.5, 2.0, 1e-300, 1e300, *(10.0 ** rng.uniform(-3.0, 3.0, 30)).tolist()]
+        for alpha, beta in [(0.35, 0.7), (1.0, 1.0), (0.5, 0.5), (1.0, 0.2)]:
+            for x in grid:
+                for y in [x, *grid]:
+                    want = min(alpha * x, beta * y)
+                    assert tail_copula_smo(alpha, beta, x, y) == want
+                    assert MinTailCopula(alpha, beta)(x, y) == want
+
+    def test_smo_domain(self):
+        for alpha, beta in [(0.0, 0.7), (0.35, 1.5), (math.nan, 0.7), (0.35, math.nan)]:
+            with pytest.raises(DomainError):
+                tail_copula_smo(alpha, beta, 1.0, 1.0)
+
     def test_quadrant_domain(self):
         with pytest.raises(DomainError):
             tail_copula_smo(0.35, 0.7, -1.0, 1.0)
@@ -113,6 +130,20 @@ class TestNumericLimit:
         want = tail_copula_tev(4.0, 0.5, 1.0, 1.0)
         assert abs(got.value - want) <= 1e-3
         assert abs(got.value - want) <= got.error
+
+    def test_error_claim_holds_at_large_nu(self):
+        # At large nu the ratios shrink by a factor q near 1 per halving of t,
+        # so the spread of the last two understates the error by |q / (1 - q)|;
+        # the reported error must still cover the closed form.
+        rng = np.random.default_rng(7)
+        for i in range(16):
+            nu = float(rng.uniform(10.0, 50.0))
+            if i % 2 == 0:
+                nu = float(round(nu))  # the Dunnett-Sobel route
+            rho = float(rng.uniform(-0.95, 0.95))
+            x, y = (float(t) for t in np.exp(rng.uniform(-1.0, 1.0, 2)))
+            got = NumericTailCopula(StudentT(nu, rho)).value_and_error(x, y)
+            assert abs(got.value - tail_copula_tev(nu, rho, x, y)) <= got.error, (nu, rho, x, y)
 
     def test_comonotone_is_exact(self):
         got = tail_copula_numeric(Comonotone(), 2.0, 3.0)
