@@ -54,19 +54,16 @@ from .spectral import (
     endpoint_mass,
     h_density,
     interior_mass,
+    interior_mass_weighted,
     profile_kernel,
     profile_kernel_log_slope,
     smoothed_profile,
     spectral_tail_copula,
 )
 from .tailcopula import (
-    MinTailCopula,
     MtcmResult,
     NumericTailCopula,
     NumericTailValue,
-    PickandsTailCopula,
-    TevTailCopula,
-    ZeroTailCopula,
     analytic_tail_copula,
     default_t_sequence,
     mtcm,
@@ -75,6 +72,7 @@ from .tailcopula import (
     tail_copula_numeric,
     tail_copula_smo,
     tail_copula_tev,
+    tail_copula_zero,
 )
 
 __version__ = "0.1.0"
@@ -91,22 +89,18 @@ __all__ = [
     "FGM",
     "Independence",
     "MarshallOlkin",
-    "MinTailCopula",
     "MtcmResult",
     "NumericTailCopula",
     "NumericTailValue",
     "PathPoint",
     "PathResult",
     "PickandsFn",
-    "PickandsTailCopula",
     "ScheduleError",
     "SingularCurvePoint",
     "SpectralModel",
     "StudentT",
     "Survival",
     "TailPathError",
-    "TevTailCopula",
-    "ZeroTailCopula",
     "analytic_tail_copula",
     "asymptotic_report",
     "cardano_roots",
@@ -118,6 +112,7 @@ __all__ = [
     "equivalence_report",
     "h_density",
     "interior_mass",
+    "interior_mass_weighted",
     "log_gap",
     "maximize_slice",
     "mtcm",
@@ -133,6 +128,7 @@ __all__ = [
     "tail_copula_numeric",
     "tail_copula_smo",
     "tail_copula_tev",
+    "tail_copula_zero",
     "trace_path",
     "__version__",
 ]

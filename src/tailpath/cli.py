@@ -16,7 +16,7 @@ import functools
 import json
 import os
 import sys
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .copulas import (
     AsymGumbel,
@@ -35,13 +35,7 @@ from .numerics import _linspace
 from .output import svg_line_chart, svg_scatter, write_csv, write_json, write_text
 from .singular import singular_root
 from .spectral import SpectralModel, h_density, profile_kernel, smoothed_profile
-from .tailcopula import (
-    MtcmResult,
-    NumericTailCopula,
-    analytic_tail_copula,
-    mtcm,
-    profile_curve,
-)
+from .tailcopula import MtcmResult, analytic_tail_copula, mtcm, profile_curve
 from .verify import SUITES, run_suite
 
 __all__ = ["main", "parse_model", "parse_schedule"]
@@ -152,13 +146,6 @@ def _outdir(args: argparse.Namespace) -> str:
     return path
 
 
-def _tail_for(model: Copula, *, cdf_tol: float) -> Callable[[float, float], float]:
-    try:
-        return analytic_tail_copula(model)
-    except TailPathError:
-        return NumericTailCopula(model, cdf_abs_error=cdf_tol)
-
-
 def _t_params(model: Copula) -> tuple[float, float]:
     base = model.base if isinstance(model, Survival) else model
     if isinstance(base, StudentT):
@@ -180,11 +167,11 @@ def _mo_params(model: Copula) -> tuple[float, float]:
 
 
 def _emit_profile(
-    model: Copula, out: str, prefix: str, fmt: str, *, tol: float, cdf_tol: float
+    model: Copula, out: str, prefix: str, fmt: str, *, tol: float
 ) -> MtcmResult:
     import numpy as np  # logspace: 10.0 ** x differs from it in the last bit
 
-    tail = _tail_for(model, cdf_tol=cdf_tol)
+    tail = analytic_tail_copula(model)
     bs = np.logspace(-2.0, 2.0, 401).tolist()
     with _op(f"profile curve for {model.spec()}"):
         curve = profile_curve(tail, bs)
@@ -314,9 +301,7 @@ def _emit_sample(
 def cmd_profile(args: argparse.Namespace) -> int:
     model = parse_model(args.model)
     out = _outdir(args)
-    result = _emit_profile(
-        model, out, "", args.format, tol=args.tol_opt, cdf_tol=args.tol_cdf
-    )
+    result = _emit_profile(model, out, "", args.format, tol=args.tol_opt)
     print(
         f"{model.spec()}: b_star={result.b_star:.9g} lambda_star={result.lambda_star:.9g} "
         f"unique={result.unique}"
@@ -327,7 +312,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
 def cmd_mtcm(args: argparse.Namespace) -> int:
     model = parse_model(args.model)
     out = _outdir(args)
-    tail = _tail_for(model, cdf_tol=args.tol_cdf)
+    tail = analytic_tail_copula(model)
     with _op(f"mtcm solve for {model.spec()}"):
         result = mtcm(tail, tol=args.tol_opt)
     payload = result.to_json_dict()
@@ -414,9 +399,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
     files: list[str] = []
     for prefix, model in models:
         _emit_sample(model, out, prefix, args.format, n=args.n, seed=args.seed)
-        result = _emit_profile(
-            model, out, prefix, args.format, tol=args.tol_opt, cdf_tol=args.tol_cdf
-        )
+        result = _emit_profile(model, out, prefix, args.format, tol=args.tol_opt)
         path = _emit_path(
             model, out, prefix, args.format, schedule=None, tol=args.tol_opt
         )
@@ -481,13 +464,6 @@ def _add_common(sub: argparse.ArgumentParser, *, model: bool = True) -> None:
         default=1e-10,
         dest="tol_opt",
         help="optimizer refinement tolerance",
-    )
-    sub.add_argument(
-        "--tol-cdf",
-        type=float,
-        default=1e-8,
-        dest="tol_cdf",
-        help="cdf accuracy assumed by the numeric tail-copula limit",
     )
 
 

@@ -149,7 +149,11 @@ def betainc_regularized(a: float, b: float, x: float) -> float:
 
 
 def student_t_pdf(x: float, nu: float) -> float:
-    """Density of the Student-t distribution with nu degrees of freedom."""
+    """Density of the Student-t distribution with nu degrees of freedom.
+
+    x^2 overflows past |x| = 1.3e154, so past |x| = _T_FAR the log kernel
+    ln(1 + x^2/nu) is taken as 2 ln|x| - ln nu + log1p(nu / x^2).
+    """
     if nu <= 0.0:
         raise DomainError(f"student_t_pdf requires nu > 0, got {nu}")
     ln_norm = (
@@ -157,7 +161,12 @@ def student_t_pdf(x: float, nu: float) -> float:
         - math.lgamma(0.5 * nu)
         - 0.5 * math.log(nu * math.pi)
     )
-    return math.exp(ln_norm - 0.5 * (nu + 1.0) * math.log1p(x * x / nu))
+    ax = abs(x)
+    if ax > _T_FAR:
+        ln_kernel = 2.0 * math.log(ax) - math.log(nu) + math.log1p(nu / ax / ax)
+    else:
+        ln_kernel = math.log1p(x * x / nu)
+    return math.exp(ln_norm - 0.5 * (nu + 1.0) * ln_kernel)
 
 
 def student_t_cdf(x: float, nu: float) -> float:

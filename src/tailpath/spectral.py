@@ -31,6 +31,7 @@ __all__ = [
     "endpoint_mass",
     "h_density",
     "interior_mass",
+    "interior_mass_weighted",
     "profile_kernel",
     "profile_kernel_decay_form",
     "profile_kernel_log_slope",
@@ -97,6 +98,20 @@ def interior_mass(sm: SpectralModel) -> float:
 
     def integrand(q: float) -> float:
         return eta * (1.0 + q**nu) * student_t_pdf(eta * (q - rho), nu + 1.0)
+
+    return integrate_adaptive(integrand, 0.0, math.inf, abs_tol=1e-9, rel_tol=1e-9)
+
+
+def interior_mass_weighted(sm: SpectralModel) -> float:
+    """Quadrature of w * h(w) over (0, 1) in the substituted variable.
+
+    There w h(w) dw is eta t_{nu+1}(eta (q - rho)) dq; with the two endpoint
+    atoms it satisfies the moment constraint, interior + endpoint_mass = 1.
+    """
+    nu, rho, eta = sm.nu, sm.rho, sm.eta
+
+    def integrand(q: float) -> float:
+        return eta * student_t_pdf(eta * (q - rho), nu + 1.0)
 
     return integrate_adaptive(integrand, 0.0, math.inf, abs_tol=1e-9, rel_tol=1e-9)
 

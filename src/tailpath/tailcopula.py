@@ -8,14 +8,17 @@ evaluable cdf, and the MTCM solver, which maximizes the profile b mapsto
 Lambda(b, 1/b) over unit-area rectangles and reports the maximizer b_star and
 maximum lambda_star.
 
-Every tail copula here is exposed both as a plain function (direct formula
-evaluation) and as a callable object usable by the solver.
+Each closed form is one plain function with its parameters first;
+analytic_tail_copula binds them with functools.partial, so the solver gets
+a callable Lambda(x, y). The numeric limit is both a function, which also
+returns the error estimate, and a callable class (NumericTailCopula).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 from .copulas import (
@@ -25,7 +28,6 @@ from .copulas import (
     FGM,
     Independence,
     MarshallOlkin,
-    PickandsFn,
     StudentT,
     Survival,
 )
@@ -33,12 +35,8 @@ from .errors import ConvergenceError, DegenerateTailError, DomainError
 from .numerics import _grid_scan, aitken_limit, maximize_1d, student_t_cdf
 
 __all__ = [
-    "MinTailCopula",
     "MtcmResult",
     "NumericTailCopula",
-    "PickandsTailCopula",
-    "TevTailCopula",
-    "ZeroTailCopula",
     "analytic_tail_copula",
     "default_t_sequence",
     "mtcm",
@@ -47,11 +45,13 @@ __all__ = [
     "tail_copula_numeric",
     "tail_copula_smo",
     "tail_copula_tev",
+    "tail_copula_zero",
 ]
 
 
 def _check_quadrant(x: float, y: float) -> None:
-    if x < 0.0 or y < 0.0:
+    # Written so that NaN fails it too.
+    if not (x >= 0.0 and y >= 0.0):
         raise DomainError(f"tail copula arguments must be nonnegative, got ({x}, {y})")
 
 
@@ -104,6 +104,12 @@ def tail_copula_tev(nu: float, rho: float, x: float, y: float) -> float:
     term_x = x * student_t_cdf(eta * (rho - (y / x) ** (-inv_nu)), nu + 1.0)
     term_y = y * student_t_cdf(eta * (rho - (x / y) ** (-inv_nu)), nu + 1.0)
     return term_x + term_y
+
+
+def tail_copula_zero(x: float, y: float) -> float:
+    """Degenerate tail copula of a tail-independent model: 0 on the quadrant."""
+    _check_quadrant(x, y)
+    return 0.0
 
 
 def default_t_sequence(
@@ -184,50 +190,6 @@ def tail_copula_numeric(
     )
 
 
-# -- callable wrappers, one per source in the family zoo ---------------------
-
-
-@dataclass(frozen=True)
-class MinTailCopula:
-    """Piecewise-linear tail copula min(alpha x, beta y) (survival MO)."""
-
-    alpha: float
-    beta: float
-
-    def __call__(self, x: float, y: float) -> float:
-        return tail_copula_smo(self.alpha, self.beta, x, y)
-
-
-@dataclass(frozen=True)
-class PickandsTailCopula:
-    """Tail copula x + y - (x+y) A(y/(x+y)) of a survival EV copula."""
-
-    pickands: Callable[[float], float]
-
-    def __call__(self, x: float, y: float) -> float:
-        return tail_copula_from_pickands(self.pickands, x, y)
-
-
-@dataclass(frozen=True)
-class TevTailCopula:
-    """Student-t tail copula (shared with the t extreme-value limit)."""
-
-    nu: float
-    rho: float
-
-    def __call__(self, x: float, y: float) -> float:
-        return tail_copula_tev(self.nu, self.rho, x, y)
-
-
-@dataclass(frozen=True)
-class ZeroTailCopula:
-    """Degenerate tail copula of a tail-independent model."""
-
-    def __call__(self, x: float, y: float) -> float:
-        _check_quadrant(x, y)
-        return 0.0
-
-
 class NumericTailCopula:
     """Numeric-limit tail copula of an arbitrary model, callable as Lambda(x, y)."""
 
@@ -254,35 +216,27 @@ class NumericTailCopula:
 def analytic_tail_copula(model: Copula) -> Callable[[float, float], float]:
     """Closed-form tail copula of a model, where one is known.
 
+    Returns the module's closed form with the model's parameters bound.
     Tail-independent families (independence, FGM, plain MO and plain AG, whose
-    lower tails vanish) map to the degenerate zero tail so that the MTCM
-    solver can diagnose them uniformly.
+    lower tails vanish) map to tail_copula_zero so that the MTCM solver can
+    diagnose them uniformly. Independence, FGM, comonotone and Student-t are
+    radially symmetric, so their survival models share the tail.
     """
-    if isinstance(model, Survival):
-        inner = model.base
-        if isinstance(inner, MarshallOlkin):
-            return MinTailCopula(inner.alpha, inner.beta)
-        if isinstance(inner, AsymGumbel):
-            return PickandsTailCopula(inner.pickands)
-        if isinstance(inner, StudentT):
-            return TevTailCopula(inner.nu, inner.rho)
-        if isinstance(inner, Comonotone):
-            return MinTailCopula(1.0, 1.0)
-        if isinstance(inner, (Independence, FGM)):
-            return ZeroTailCopula()
-        raise DomainError(f"no closed-form tail copula for {model!r}")
-    if isinstance(model, StudentT):
-        return TevTailCopula(model.nu, model.rho)
-    if isinstance(model, Comonotone):
-        return MinTailCopula(1.0, 1.0)
-    if isinstance(model, (Independence, FGM)):
-        return ZeroTailCopula()
-    if isinstance(model, MarshallOlkin):
-        if model.alpha == 1.0 and model.beta == 1.0:
-            return MinTailCopula(1.0, 1.0)
-        return ZeroTailCopula()
-    if isinstance(model, AsymGumbel):
-        return ZeroTailCopula()
+    surv = isinstance(model, Survival)
+    base = model.base if surv else model
+    if isinstance(base, MarshallOlkin):
+        # Plain MO has a lower tail only as the comonotone case alpha = beta = 1.
+        if surv or (base.alpha == 1.0 and base.beta == 1.0):
+            return partial(tail_copula_smo, base.alpha, base.beta)
+        return tail_copula_zero
+    if isinstance(base, AsymGumbel):
+        return partial(tail_copula_from_pickands, base.pickands) if surv else tail_copula_zero
+    if isinstance(base, StudentT):
+        return partial(tail_copula_tev, base.nu, base.rho)
+    if isinstance(base, Comonotone):
+        return partial(tail_copula_smo, 1.0, 1.0)
+    if isinstance(base, (Independence, FGM)):
+        return tail_copula_zero
     raise DomainError(f"no closed-form tail copula for {model!r}")
 
 

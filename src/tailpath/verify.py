@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from .copulas import (
@@ -39,6 +40,7 @@ from .spectral import (
     endpoint_mass,
     h_density,
     interior_mass,
+    interior_mass_weighted,
     profile_kernel,
     profile_kernel_decay_form,
     profile_kernel_log_slope,
@@ -46,11 +48,10 @@ from .spectral import (
     spectral_tail_copula,
 )
 from .tailcopula import (
-    MinTailCopula,
     NumericTailCopula,
-    PickandsTailCopula,
-    TevTailCopula,
     mtcm,
+    tail_copula_from_pickands,
+    tail_copula_smo,
     tail_copula_tev,
 )
 
@@ -80,7 +81,7 @@ def smo_mtcm_suite() -> list[CheckResult]:
 
     start = time.perf_counter()
     out = []
-    res = mtcm(MinTailCopula(0.35, 0.7))
+    res = mtcm(partial(tail_copula_smo, 0.35, 0.7))
     out.append(_leq("smo(0.35,0.7) b_star", abs(res.b_star - math.sqrt(2.0)), 1e-6))
     out.append(
         _leq("smo(0.35,0.7) lambda_star", abs(res.lambda_star - math.sqrt(0.245)), 1e-8)
@@ -91,7 +92,7 @@ def smo_mtcm_suite() -> list[CheckResult]:
     for _ in range(10):
         alpha = float(rng.uniform(0.05, 1.0))
         beta = float(rng.uniform(0.05, 1.0))
-        r = mtcm(MinTailCopula(alpha, beta))
+        r = mtcm(partial(tail_copula_smo, alpha, beta))
         worst_b = max(worst_b, abs(r.b_star - math.sqrt(beta / alpha)))
         worst_lam = max(worst_lam, abs(r.lambda_star - math.sqrt(alpha * beta)))
     out.append(_leq("random pairs b_star worst error", worst_b, 1e-6))
@@ -102,7 +103,7 @@ def smo_mtcm_suite() -> list[CheckResult]:
 
 def ag_mtcm_suite() -> list[CheckResult]:
     """MTCM of the survival asymmetric Gumbel model via its Pickands form."""
-    res = mtcm(PickandsTailCopula(PickandsFn(0.35, 0.7, 2.0)))
+    res = mtcm(partial(tail_copula_from_pickands, PickandsFn(0.35, 0.7, 2.0)))
     return [
         _leq("sag(0.35,0.7,2) b_star", abs(res.b_star - math.sqrt(2.0)), 1e-4),
         _check("sag(0.35,0.7,2) unique flag", res.unique, str(res.unique)),
@@ -113,7 +114,7 @@ def t_bstar_suite() -> list[CheckResult]:
     """b_star = 1 for Student-t models, via both the profile and the kernel route."""
     out = []
     for nu, rho in _T_PAIRS:
-        res = mtcm(TevTailCopula(nu, rho))
+        res = mtcm(partial(tail_copula_tev, nu, rho))
         out.append(
             _leq(f"t(nu={nu:g},rho={rho:g}) b_star vs 1", abs(res.b_star - 1.0), 1e-4)
         )
@@ -231,18 +232,6 @@ def spectral_suite() -> list[CheckResult]:
     return out
 
 
-def interior_mass_weighted(sm: SpectralModel) -> float:
-    """Quadrature of w * h(w) over (0, 1) in the substituted variable."""
-    from .numerics import integrate_adaptive
-
-    nu, rho, eta = sm.nu, sm.rho, sm.eta
-
-    def integrand(q: float) -> float:
-        return eta * student_t_pdf(eta * (q - rho), nu + 1.0)
-
-    return integrate_adaptive(integrand, 0.0, math.inf, abs_tol=1e-9, rel_tol=1e-9)
-
-
 def kernel_suite() -> list[CheckResult]:
     """Evenness, monotonicity, envelope, and derivative of the profile kernel."""
     import numpy as np
@@ -318,10 +307,10 @@ def numeric_tail_suite() -> list[CheckResult]:
         (
             "smo(0.35,0.7)",
             survival(MarshallOlkin(0.35, 0.7)),
-            MinTailCopula(0.35, 0.7),
+            partial(tail_copula_smo, 0.35, 0.7),
             1e-15,
         ),
-        ("t(4,0.5)", StudentT(4.0, 0.5), TevTailCopula(4.0, 0.5), 1e-8),
+        ("t(4,0.5)", StudentT(4.0, 0.5), partial(tail_copula_tev, 4.0, 0.5), 1e-8),
     ]
     for label, model, analytic, cdf_err in cases:
         numeric = NumericTailCopula(model, cdf_abs_error=cdf_err)
@@ -392,9 +381,12 @@ def properties_suite() -> list[CheckResult]:
             worst = max(worst, -vol)
         out.append(_leq(f"2-increasingness violation {label}", worst, max(slack, 1e-12)))
     tails = [
-        ("min-tail(0.35,0.7)", MinTailCopula(0.35, 0.7)),
-        ("pickands-tail(0.35,0.7,2)", PickandsTailCopula(PickandsFn(0.35, 0.7, 2.0))),
-        ("tev-tail(4,0.5)", TevTailCopula(4.0, 0.5)),
+        ("min-tail(0.35,0.7)", partial(tail_copula_smo, 0.35, 0.7)),
+        (
+            "pickands-tail(0.35,0.7,2)",
+            partial(tail_copula_from_pickands, PickandsFn(0.35, 0.7, 2.0)),
+        ),
+        ("tev-tail(4,0.5)", partial(tail_copula_tev, 4.0, 0.5)),
     ]
     rng = np.random.default_rng(716)
     for label, tail in tails:

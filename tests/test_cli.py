@@ -89,6 +89,12 @@ class TestExitCodes:
         code = main(["mtcm", "--model", "smo:alpha=1.5,beta=0.7", "--out", str(tmp_path)])
         assert code == 2
 
+    def test_removed_tol_cdf_flag_is_rejected(self, tmp_path, capsys):
+        # Every CLI model has a closed-form tail, so no cdf tolerance applies.
+        argv = ["mtcm", "--model", "smo:alpha=0.35,beta=0.7", "--out", str(tmp_path)]
+        assert main([*argv, "--tol-cdf", "1e-8"]) == 2
+        assert "--tol-cdf" in capsys.readouterr().err
+
     def test_increasing_schedule_is_config_error(self, tmp_path, capsys):
         code = main(
             [

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from tailpath.maxpath import (
     trace_path,
 )
 from tailpath.numerics import aitken_limit, maximize_1d
-from tailpath.tailcopula import MinTailCopula
+from tailpath.tailcopula import tail_copula_smo
 
 
 def _slice_with_builtin_clamps(model, u, n_grid=512, tol=1e-10):
@@ -198,7 +199,7 @@ class TestEquivalenceReport:
 
     def test_explicit_tail_override(self):
         rep = equivalence_report(
-            survival(MarshallOlkin(0.35, 0.7)), tail=MinTailCopula(0.35, 0.7)
+            survival(MarshallOlkin(0.35, 0.7)), tail=partial(tail_copula_smo, 0.35, 0.7)
         )
         assert rep.ok
 

@@ -6,6 +6,7 @@ import scipy.optimize
 import scipy.special
 import scipy.stats
 
+from tailpath import numerics
 from tailpath.errors import BracketError, ConvergenceError, DomainError
 from tailpath.numerics import (
     aitken_limit,
@@ -16,6 +17,7 @@ from tailpath.numerics import (
     student_t_cdf,
     student_t_pdf,
     student_t_quantile,
+    _T_FAR,
     _linspace,
     _student_t_cdf_array,
 )
@@ -99,6 +101,36 @@ class TestStudentT:
     def test_cdf_past_squaring_overflow(self, x, nu, want):
         assert student_t_cdf(x, nu) == pytest.approx(want, rel=2e-15, abs=0.0)
         assert student_t_cdf(-x, nu) == 1.0 - student_t_cdf(x, nu)
+
+    @pytest.mark.parametrize(
+        "x, nu, want",
+        [  # 30-digit mpmath
+            (-1e200, 0.3, 1.0485021701515731e-261),
+            (2e151, 0.5, 1.7927729536917279e-228),
+            (1e155, 0.9, 8.9172014116959552e-296),
+        ],
+    )
+    def test_pdf_past_squaring_overflow(self, x, nu, want):
+        # The relative error grows with |ln pdf|, here near 600, as below _T_FAR.
+        assert student_t_pdf(x, nu) == pytest.approx(want, rel=2e-13, abs=0.0)
+        assert student_t_pdf(-x, nu) == student_t_pdf(x, nu)
+
+    def test_pdf_continuous_across_far_branch(self):
+        for nu in (0.3, 1.0, 4.0):
+            below = student_t_pdf(_T_FAR, nu)
+            above = student_t_pdf(math.nextafter(_T_FAR, math.inf), nu)
+            assert above == pytest.approx(below, rel=1e-13)
+
+    def test_far_tail_quantile_keeps_newton(self, monkeypatch):
+        # Past |x| = 1.3e154 the density used to read 0, so every step bisected.
+        calls = []
+        monkeypatch.setattr(
+            numerics, "student_t_cdf", lambda x, nu: calls.append(x) or student_t_cdf(x, nu)
+        )
+        q = student_t_quantile(1e-61, 0.3)
+        assert q < -1e200
+        assert len(calls) <= 4
+        assert student_t_cdf(q, 0.3) == pytest.approx(1e-61, rel=1e-13)
 
     def test_quantile_beyond_float_range_raises(self):
         with pytest.raises(ConvergenceError):

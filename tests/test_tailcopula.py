@@ -1,8 +1,10 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
+from tailpath.cli import parse_model
 from tailpath.copulas import (
     AsymGumbel,
     Comonotone,
@@ -16,11 +18,7 @@ from tailpath.copulas import (
 from tailpath.errors import DegenerateTailError, DomainError
 from tailpath.numerics import student_t_cdf
 from tailpath.tailcopula import (
-    MinTailCopula,
     NumericTailCopula,
-    PickandsTailCopula,
-    TevTailCopula,
-    ZeroTailCopula,
     analytic_tail_copula,
     default_t_sequence,
     mtcm,
@@ -29,7 +27,10 @@ from tailpath.tailcopula import (
     tail_copula_numeric,
     tail_copula_smo,
     tail_copula_tev,
+    tail_copula_zero,
 )
+
+SMO = partial(tail_copula_smo, 0.35, 0.7)
 
 
 class TestClosedForms:
@@ -69,9 +70,9 @@ class TestClosedForms:
     @pytest.mark.parametrize(
         "tail",
         [
-            MinTailCopula(0.35, 0.7),
-            PickandsTailCopula(PickandsFn(0.35, 0.7, 2.0)),
-            TevTailCopula(4.0, 0.5),
+            SMO,
+            partial(tail_copula_from_pickands, PickandsFn(0.35, 0.7, 2.0)),
+            partial(tail_copula_tev, 4.0, 0.5),
         ],
         ids=["smo", "pickands", "tev"],
     )
@@ -93,7 +94,6 @@ class TestClosedForms:
                 for y in [x, *grid]:
                     want = min(alpha * x, beta * y)
                     assert tail_copula_smo(alpha, beta, x, y) == want
-                    assert MinTailCopula(alpha, beta)(x, y) == want
 
     def test_smo_domain(self):
         for alpha, beta in [(0.0, 0.7), (0.35, 1.5), (math.nan, 0.7), (0.35, math.nan)]:
@@ -105,9 +105,27 @@ class TestClosedForms:
             tail_copula_smo(0.35, 0.7, -1.0, 1.0)
         with pytest.raises(DomainError):
             tail_copula_tev(4.0, 0.5, 1.0, -0.2)
+        with pytest.raises(DomainError):
+            tail_copula_zero(-1.0, 1.0)
         # the axes are the continuous extension, not a domain error
         assert tail_copula_tev(4.0, 0.5, 1.0, 0.0) == 0.0
         assert tail_copula_smo(0.35, 0.7, 0.0, 2.0) == 0.0
+
+    @pytest.mark.parametrize(
+        "tail",
+        [
+            SMO,
+            partial(tail_copula_from_pickands, PickandsFn(0.35, 0.7, 2.0)),
+            partial(tail_copula_tev, 4.0, 0.5),
+            tail_copula_zero,
+            lambda x, y: tail_copula_numeric(StudentT(4.0, 0.5), x, y),
+        ],
+        ids=["smo", "pickands", "tev", "zero", "numeric"],
+    )
+    def test_nan_argument_raises(self, tail):
+        for x, y in ((math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan)):
+            with pytest.raises(DomainError):
+                tail(x, y)
 
 
 class TestNumericLimit:
@@ -177,24 +195,65 @@ class TestNumericLimit:
 
 class TestAnalyticDispatch:
     def test_known_families(self):
-        assert isinstance(
-            analytic_tail_copula(survival(MarshallOlkin(0.35, 0.7))), MinTailCopula
-        )
-        assert isinstance(
-            analytic_tail_copula(survival(AsymGumbel(0.35, 0.7, 2.0))),
-            PickandsTailCopula,
-        )
-        assert isinstance(analytic_tail_copula(StudentT(4.0, 0.5)), TevTailCopula)
-        assert isinstance(
-            analytic_tail_copula(survival(StudentT(4.0, 0.5))), TevTailCopula
-        )
-        assert isinstance(analytic_tail_copula(Comonotone()), MinTailCopula)
+        def bound(model):
+            t = analytic_tail_copula(model)
+            return t.func, t.args
+
+        assert bound(survival(MarshallOlkin(0.35, 0.7))) == (tail_copula_smo, (0.35, 0.7))
+        pick = survival(AsymGumbel(0.35, 0.7, 2.0))
+        assert bound(pick) == (tail_copula_from_pickands, (pick.base.pickands,))
+        assert bound(StudentT(4.0, 0.5)) == (tail_copula_tev, (4.0, 0.5))
+        assert bound(survival(StudentT(4.0, 0.5))) == (tail_copula_tev, (4.0, 0.5))
+        assert bound(Comonotone()) == (tail_copula_smo, (1.0, 1.0))
+        assert bound(MarshallOlkin(1.0, 1.0)) == (tail_copula_smo, (1.0, 1.0))
 
     def test_tail_independent_families_are_degenerate(self):
-        for model in (Independence(), FGM(-1.0), MarshallOlkin(0.35, 0.7)):
+        for model in (
+            Independence(),
+            FGM(-1.0),
+            MarshallOlkin(0.35, 0.7),
+            AsymGumbel(0.35, 0.7, 2.0),
+            survival(FGM(0.6)),
+        ):
             tail = analytic_tail_copula(model)
-            assert isinstance(tail, ZeroTailCopula)
+            assert tail is tail_copula_zero
             assert tail(1.0, 1.0) == 0.0
+
+    @pytest.mark.parametrize(
+        "spec, want",
+        [
+            ("indep", tail_copula_zero),
+            ("comono", partial(tail_copula_smo, 1.0, 1.0)),
+            ("fgm:theta=0.6", tail_copula_zero),
+            ("mo:alpha=0.35,beta=0.7", tail_copula_zero),
+            ("mo:alpha=1,beta=1", partial(tail_copula_smo, 1.0, 1.0)),
+            ("smo:alpha=0.35,beta=0.7", SMO),
+            ("ag:alpha=0.35,beta=0.7,theta=2", tail_copula_zero),
+            (
+                "sag:alpha=0.35,beta=0.7,theta=2",
+                partial(tail_copula_from_pickands, PickandsFn(0.35, 0.7, 2.0)),
+            ),
+            ("t:nu=4,rho=0.5", partial(tail_copula_tev, 4.0, 0.5)),
+            ("surv-indep", tail_copula_zero),
+            ("surv-comono", partial(tail_copula_smo, 1.0, 1.0)),
+            ("surv-fgm:theta=0.6", tail_copula_zero),
+            ("surv-mo:alpha=0.35,beta=0.7", SMO),
+            ("surv-smo:alpha=0.35,beta=0.7", tail_copula_zero),
+            (
+                "surv-ag:alpha=0.35,beta=0.7,theta=2",
+                partial(tail_copula_from_pickands, PickandsFn(0.35, 0.7, 2.0)),
+            ),
+            ("surv-sag:alpha=0.35,beta=0.7,theta=2", tail_copula_zero),
+            ("surv-t:nu=4,rho=0.5", partial(tail_copula_tev, 4.0, 0.5)),
+            ("surv-mo:alpha=1,beta=1", partial(tail_copula_smo, 1.0, 1.0)),
+        ],
+    )
+    def test_every_cli_spec_has_a_closed_form(self, spec, want):
+        # The CLI calls analytic_tail_copula with no numeric fallback, so it
+        # must give a closed form for every spec parse_model accepts.
+        tail = analytic_tail_copula(parse_model(spec))
+        for x, y in ((1.0, 1.0), (2.0, 0.5), (0.3, 3.0), (0.0, 1.0)):
+            assert tail(x, y) == want(x, y)
 
     def test_survival_tail_consistency(self):
         # analytic tail of the survival model equals the numeric limit
@@ -208,7 +267,7 @@ class TestAnalyticDispatch:
 
 class TestMtcm:
     def test_smo_closed_form(self):
-        res = mtcm(MinTailCopula(0.35, 0.7))
+        res = mtcm(SMO)
         assert res.b_star == pytest.approx(math.sqrt(2.0), abs=1e-6)
         assert res.lambda_star == pytest.approx(math.sqrt(0.245), abs=1e-8)
         assert res.unique
@@ -218,31 +277,31 @@ class TestMtcm:
         rng = np.random.default_rng(8)
         for _ in range(5):
             alpha, beta = map(float, rng.uniform(0.05, 1.0, 2))
-            res = mtcm(MinTailCopula(alpha, beta))
+            res = mtcm(partial(tail_copula_smo, alpha, beta))
             assert res.b_star == pytest.approx(math.sqrt(beta / alpha), abs=1e-6)
             assert res.lambda_star == pytest.approx(
                 math.sqrt(alpha * beta), abs=1e-8
             )
 
     def test_survival_ag(self):
-        res = mtcm(PickandsTailCopula(PickandsFn(0.35, 0.7, 2.0)))
+        res = mtcm(partial(tail_copula_from_pickands, PickandsFn(0.35, 0.7, 2.0)))
         assert res.b_star == pytest.approx(math.sqrt(2.0), abs=1e-4)
 
     def test_t_copula_unit_maximizer(self):
-        res = mtcm(TevTailCopula(4.0, 0.5))
+        res = mtcm(partial(tail_copula_tev, 4.0, 0.5))
         assert res.b_star == pytest.approx(1.0, abs=1e-4)
         assert res.lambda_star == pytest.approx(
             tail_copula_tev(4.0, 0.5, 1.0, 1.0), abs=1e-9
         )
 
     def test_grid_doubling_stability(self):
-        coarse = mtcm(MinTailCopula(0.2, 0.9), n_grid=512)
-        fine = mtcm(MinTailCopula(0.2, 0.9), n_grid=1024)
+        coarse = mtcm(partial(tail_copula_smo, 0.2, 0.9), n_grid=512)
+        fine = mtcm(partial(tail_copula_smo, 0.2, 0.9), n_grid=1024)
         assert abs(coarse.b_star - fine.b_star) <= 1e-6
         assert abs(coarse.lambda_star - fine.lambda_star) <= 1e-8
 
     def test_exchangeable_profile_is_symmetric(self):
-        tail = TevTailCopula(4.0, 0.5)
+        tail = partial(tail_copula_tev, 4.0, 0.5)
         for b in (1.5, 2.0, 7.0):
             assert tail(b, 1.0 / b) == pytest.approx(tail(1.0 / b, b), rel=1e-12)
 
@@ -255,7 +314,7 @@ class TestMtcm:
 
     def test_degenerate_tail_raises(self):
         with pytest.raises(DegenerateTailError):
-            mtcm(ZeroTailCopula())
+            mtcm(tail_copula_zero)
 
     def test_nan_profile_values_cannot_win(self):
         # A NaN window near b = 0.5 must not hijack the scan; the true peak of
@@ -276,24 +335,24 @@ class TestMtcm:
             mtcm(NumericTailCopula(FGM(-1.0)))
 
     def test_profile_samples_cover_bracket(self):
-        res = mtcm(MinTailCopula(0.35, 0.7))
+        res = mtcm(SMO)
         bs = [b for b, _ in res.profile_samples]
         assert min(bs) < 0.01 and max(bs) > 100.0
 
     def test_bad_bracket(self):
         with pytest.raises(DomainError):
-            mtcm(MinTailCopula(0.35, 0.7), bracket=0.5)
+            mtcm(SMO, bracket=0.5)
         with pytest.raises(DomainError):
-            mtcm(MinTailCopula(0.35, 0.7), n_grid=1)
+            mtcm(SMO, n_grid=1)
 
 
 class TestProfileCurve:
     def test_matches_tail(self):
-        tail = MinTailCopula(0.35, 0.7)
+        tail = SMO
         curve = profile_curve(tail, [0.5, 1.0, 2.0])
         for b, val in curve:
             assert val == tail(b, 1.0 / b)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):
-            profile_curve(MinTailCopula(0.35, 0.7), [1.0, 0.0])
+            profile_curve(SMO, [1.0, 0.0])
