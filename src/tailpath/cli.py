@@ -166,9 +166,7 @@ def _mo_params(model: Copula) -> tuple[float, float]:
 # Per-command artifact writers (shared between single commands and `figure`).
 
 
-def _emit_profile(
-    model: Copula, out: str, prefix: str, fmt: str, *, tol: float
-) -> MtcmResult:
+def _emit_profile(model: Copula, out: str, prefix: str, fmt: str) -> MtcmResult:
     import numpy as np  # logspace: 10.0 ** x differs from it in the last bit
 
     tail = analytic_tail_copula(model)
@@ -176,7 +174,7 @@ def _emit_profile(
     with _op(f"profile curve for {model.spec()}"):
         curve = profile_curve(tail, bs)
     with _op(f"mtcm solve for {model.spec()}"):
-        result = mtcm(tail, tol=tol)
+        result = mtcm(tail)
     write_csv(os.path.join(out, f"{prefix}profile.csv"), ("b", "lambda_profile"), curve)
     write_json(os.path.join(out, f"{prefix}mtcm.json"), result.to_json_dict())
     if fmt == "svg":
@@ -202,16 +200,10 @@ def _path_rows(path: PathResult) -> list[tuple]:
 
 
 def _emit_path(
-    model: Copula,
-    out: str,
-    prefix: str,
-    fmt: str,
-    *,
-    schedule: Sequence[float] | None,
-    tol: float,
+    model: Copula, out: str, prefix: str, fmt: str, schedule: Sequence[float] | None
 ) -> PathResult:
     with _op(f"path trace for {model.spec()}"):
-        path = trace_path(model, schedule, tol=tol)
+        path = trace_path(model, schedule)
     write_csv(
         os.path.join(out, f"{prefix}path.csv"),
         ("u", "phi_star", "v_star", "pi", "pi_over_u", "ratio_b", "boundary_flag"),
@@ -301,7 +293,7 @@ def _emit_sample(
 def cmd_profile(args: argparse.Namespace) -> int:
     model = parse_model(args.model)
     out = _outdir(args)
-    result = _emit_profile(model, out, "", args.format, tol=args.tol_opt)
+    result = _emit_profile(model, out, "", args.format)
     print(
         f"{model.spec()}: b_star={result.b_star:.9g} lambda_star={result.lambda_star:.9g} "
         f"unique={result.unique}"
@@ -314,7 +306,7 @@ def cmd_mtcm(args: argparse.Namespace) -> int:
     out = _outdir(args)
     tail = analytic_tail_copula(model)
     with _op(f"mtcm solve for {model.spec()}"):
-        result = mtcm(tail, tol=args.tol_opt)
+        result = mtcm(tail)
     payload = result.to_json_dict()
     write_json(os.path.join(out, "mtcm.json"), payload)
     print(json.dumps(payload, indent=2, sort_keys=True))
@@ -325,7 +317,7 @@ def cmd_path(args: argparse.Namespace) -> int:
     model = parse_model(args.model)
     out = _outdir(args)
     schedule = parse_schedule(args.schedule)
-    path = _emit_path(model, out, "", args.format, schedule=schedule, tol=args.tol_opt)
+    path = _emit_path(model, out, "", args.format, schedule)
     print(
         f"{model.spec()}: lambda_phi_star={path.lambda_phi_star:.9g} "
         f"(err {path.lambda_err:.2g}) b_limit={path.b_limit:.9g} (err {path.b_err:.2g})"
@@ -399,10 +391,8 @@ def cmd_figure(args: argparse.Namespace) -> int:
     files: list[str] = []
     for prefix, model in models:
         _emit_sample(model, out, prefix, args.format, n=args.n, seed=args.seed)
-        result = _emit_profile(model, out, prefix, args.format, tol=args.tol_opt)
-        path = _emit_path(
-            model, out, prefix, args.format, schedule=None, tol=args.tol_opt
-        )
+        result = _emit_profile(model, out, prefix, args.format)
+        path = _emit_path(model, out, prefix, args.format, None)
         entry = {
             "spec": model.spec(),
             "b_star": result.b_star,
@@ -457,14 +447,6 @@ def _add_common(sub: argparse.ArgumentParser, *, model: bool = True) -> None:
         default="csv",
         help="artifact tier: csv tables only, json adds summaries, svg adds charts",
     )
-    sub.add_argument("--seed", type=int, default=0, help="sampling seed")
-    sub.add_argument(
-        "--tol-opt",
-        type=float,
-        default=1e-10,
-        dest="tol_opt",
-        help="optimizer refinement tolerance",
-    )
 
 
 @functools.lru_cache(maxsize=None)
@@ -504,11 +486,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="draw pairs from a model")
     _add_common(p)
+    p.add_argument("--seed", type=int, default=0, help="sampling seed")
     p.add_argument("--n", type=int, default=5000, help="number of pairs (default 5000)")
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("figure", help="all tables for the two reference models")
     _add_common(p, model=False)
+    p.add_argument("--seed", type=int, default=0, help="sampling seed")
     p.add_argument("--n", type=int, default=5000, help="sample size per model (default 5000)")
     p.set_defaults(func=cmd_figure)
 

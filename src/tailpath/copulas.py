@@ -57,9 +57,6 @@ def _check_unit_pair(u: float, v: float) -> None:
 class Copula:
     """Common interface: a cdf on the unit square and a sampler."""
 
-    #: short family tag used by the CLI and in exports
-    name: str = "copula"
-
     def cdf(self, u: float, v: float) -> float:
         raise NotImplementedError
 
@@ -78,8 +75,6 @@ class Copula:
 class Independence(Copula):
     """Product copula: C(u, v) = u v."""
 
-    name = "indep"
-
     def cdf(self, u: float, v: float) -> float:
         _check_unit_pair(u, v)
         return u * v
@@ -96,8 +91,6 @@ class Independence(Copula):
 
 class Comonotone(Copula):
     """Upper Frechet-Hoeffding bound: C(u, v) = min(u, v)."""
-
-    name = "comono"
 
     def cdf(self, u: float, v: float) -> float:
         _check_unit_pair(u, v)
@@ -120,8 +113,6 @@ class FGM(Copula):
     theta in [-1, 1]. The whole family is tail independent, which makes it the
     standard degenerate-case stress test for everything downstream.
     """
-
-    name = "fgm"
 
     def __init__(self, theta: float) -> None:
         if not -1.0 <= theta <= 1.0:
@@ -164,8 +155,6 @@ class MarshallOlkin(Copula):
     absolutely continuous part; sampled exactly from the three-shock
     construction (two individual exponential shocks and one common shock).
     """
-
-    name = "mo"
 
     def __init__(self, alpha: float, beta: float) -> None:
         if not (0.0 < alpha <= 1.0 and 0.0 < beta <= 1.0):
@@ -260,8 +249,6 @@ class AsymGumbel(Copula):
     Pickands function A. Upper tail dependent; its survival copula is the
     lower-tail workhorse of this package.
     """
-
-    name = "ag"
 
     def __init__(self, alpha: float, beta: float, theta: float) -> None:
         self.pickands = PickandsFn(alpha, beta, theta)
@@ -466,8 +453,6 @@ class StudentT(Copula):
     so it equals its own survival copula; tail dependent for every rho > -1.
     """
 
-    name = "t"
-
     def __init__(self, nu: float, rho: float) -> None:
         if not nu > 0.0:
             raise DomainError(f"StudentT needs nu > 0, got {nu}")
@@ -517,8 +502,6 @@ class Survival(Copula):
     The transform is an involution, so wrapping a Survival unwraps it (see
     the survival() helper); samples are the reflected samples of the base.
     """
-
-    name = "surv"
 
     def __init__(self, base: Copula) -> None:
         if isinstance(base, Survival):

@@ -37,14 +37,22 @@ class PathPoint:
     u: float
     phi_star: float
     pi_value: float
-    ratio_b: float
-    pi_over_u: float
     argmax_at_boundary: bool
 
     @property
     def v_star(self) -> float:
         """Second rectangle coordinate u^2 / phi_star."""
         return self.u * self.u / self.phi_star
+
+    @property
+    def ratio_b(self) -> float:
+        """Rectangle ratio phi_star / u."""
+        return self.phi_star / self.u
+
+    @property
+    def pi_over_u(self) -> float:
+        """Slice maximum over the level, pi_value / u."""
+        return self.pi_value / self.u
 
 
 @dataclass(frozen=True)
@@ -80,29 +88,22 @@ def _validate_schedule(schedule: Sequence[float]) -> list[float]:
     return us
 
 
-def maximize_slice(
-    model: Copula,
-    u: float,
-    *,
-    n_grid: int = 512,
-    tol: float = 1e-10,
-) -> PathPoint:
+def maximize_slice(model: Copula, u: float, *, n_grid: int = 512) -> PathPoint:
     """Maximize x -> C(x, u^2/x) over [u^2, 1] at one level u.
 
     The grid is logarithmic in x (linear in s = ln x), which resolves
     maximizers scaling like b*u uniformly over small u; endpoints are always
-    included and flat slices tie-break to the smallest x. argmax_at_boundary
-    flags a maximizer within one grid cell of u^2 or 1, the signature of a
-    model whose slice suprema sit at inadmissible corners (tail-independent
+    included, flat slices tie-break to the smallest x, and golden-section
+    refines the best cell to 1e-10 in s. argmax_at_boundary flags a
+    maximizer within one grid cell of u^2 or 1, the signature of a model
+    whose slice suprema sit at inadmissible corners (tail-independent
     families like FGM).
     """
     if not 0.0 < u <= 1.0:
         raise DomainError(f"maximize_slice needs u in (0, 1], got {u}")
     if u == 1.0:
-        pi = model.cdf(1.0, 1.0)
         return PathPoint(
-            u=1.0, phi_star=1.0, pi_value=pi, ratio_b=1.0, pi_over_u=pi,
-            argmax_at_boundary=True,
+            u=1.0, phi_star=1.0, pi_value=model.cdf(1.0, 1.0), argmax_at_boundary=True
         )
     u_sq = u * u
     lo_s = 2.0 * math.log(u)
@@ -120,18 +121,13 @@ def maximize_slice(
         x = x if x < 1.0 else 1.0
         return cdf(x, u_sq / x)
 
-    result = maximize_1d(slice_value, lo_s, hi_s, n_grid=n_grid, tol=tol)
+    result = maximize_1d(slice_value, lo_s, hi_s, n_grid=n_grid, tol=1e-10)
     step = (hi_s - lo_s) / (n_grid - 1)
     s_star = result.argmax
     x_star = min(1.0, max(u_sq, math.exp(s_star)))
     at_boundary = (s_star - lo_s) <= step or (hi_s - s_star) <= step
     return PathPoint(
-        u=u,
-        phi_star=x_star,
-        pi_value=result.max_value,
-        ratio_b=x_star / u,
-        pi_over_u=result.max_value / u,
-        argmax_at_boundary=at_boundary,
+        u=u, phi_star=x_star, pi_value=result.max_value, argmax_at_boundary=at_boundary
     )
 
 
@@ -140,7 +136,6 @@ def trace_path(
     u_schedule: Sequence[float] | None = None,
     *,
     n_grid: int = 512,
-    tol: float = 1e-10,
 ) -> PathResult:
     """Trace the slice maximizer over a decreasing u schedule and extrapolate.
 
@@ -159,7 +154,7 @@ def trace_path(
     failures: list[tuple[float, str]] = []
     for u in us:
         try:
-            points.append(maximize_slice(model, u, n_grid=n_grid, tol=tol))
+            points.append(maximize_slice(model, u, n_grid=n_grid))
         except TailPathError as exc:
             failures.append((u, str(exc)))
     if not points:
@@ -189,8 +184,8 @@ class EquivalenceReport:
     lambda_phi_star (extrapolated along the traced path) is compared with
     lambda_star (profile maximization), and the limiting rectangle ratio
     b_limit with the profile maximizer b_star. Each difference is flagged
-    against a budget of the requested tolerance plus the extrapolation's own
-    error estimate.
+    against a budget of a fixed tolerance (0.01 for lambda, 0.02 for b) plus
+    the extrapolation's own error estimate.
     """
 
     lambda_star: float
@@ -227,11 +222,6 @@ def equivalence_report(
     model: Copula,
     tail: Callable[[float, float], float] | None = None,
     u_schedule: Sequence[float] | None = None,
-    *,
-    lambda_tol: float = 0.01,
-    b_tol: float = 0.02,
-    n_grid: int = 512,
-    tol: float = 1e-10,
 ) -> EquivalenceReport:
     """Cross-check the two routes to maximal tail dependence on one model.
 
@@ -246,12 +236,12 @@ def equivalence_report(
             tail = analytic_tail_copula(model)
         except DomainError:
             tail = NumericTailCopula(model)
-    m = mtcm(tail, n_grid=n_grid, tol=tol)
-    path = trace_path(model, u_schedule, n_grid=n_grid, tol=tol)
+    m = mtcm(tail)
+    path = trace_path(model, u_schedule)
     lambda_diff = abs(path.lambda_phi_star - m.lambda_star)
     b_diff = abs(path.b_limit - m.b_star)
-    lambda_budget = lambda_tol + path.lambda_err
-    b_budget = b_tol + path.b_err
+    lambda_budget = 0.01 + path.lambda_err
+    b_budget = 0.02 + path.b_err
     return EquivalenceReport(
         lambda_star=m.lambda_star,
         lambda_phi_star=path.lambda_phi_star,

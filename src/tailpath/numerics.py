@@ -154,7 +154,7 @@ def student_t_pdf(x: float, nu: float) -> float:
     x^2 overflows past |x| = 1.3e154, so past |x| = _T_FAR the log kernel
     ln(1 + x^2/nu) is taken as 2 ln|x| - ln nu + log1p(nu / x^2).
     """
-    if nu <= 0.0:
+    if not nu > 0.0:
         raise DomainError(f"student_t_pdf requires nu > 0, got {nu}")
     ln_norm = (
         math.lgamma(0.5 * (nu + 1.0))
@@ -181,7 +181,7 @@ def student_t_cdf(x: float, nu: float) -> float:
     factor (1 - z)^(1/2) and the continued fraction are 1 + O(z) with
     z < 1e-150, so they are 1 to double precision.
     """
-    if nu <= 0.0:
+    if not nu > 0.0:
         raise DomainError(f"student_t_cdf requires nu > 0, got {nu}")
     if math.isnan(x):
         raise DomainError("student_t_cdf got NaN argument")
@@ -285,7 +285,7 @@ def _student_t_cdf_array(x: np.ndarray, nu: float) -> np.ndarray:
     """student_t_cdf over an array of x, equal entry by entry to the scalar calls."""
     import numpy as np
 
-    if nu <= 0.0:
+    if not nu > 0.0:
         raise DomainError(f"student_t_cdf requires nu > 0, got {nu}")
     x = np.asarray(x, dtype=float)
     if np.isnan(x).any():
@@ -337,7 +337,7 @@ def student_t_quantile(p: float, nu: float) -> float:
     ln T_nu - ln p instead, on that side. Every quantile that the plain
     iteration finds within those steps is returned exactly as it finds it.
     """
-    if nu <= 0.0:
+    if not nu > 0.0:
         raise DomainError(f"student_t_quantile requires nu > 0, got {nu}")
     if p <= 0.0 or p >= 1.0:
         raise DomainError(f"student_t_quantile requires p in (0, 1), got {p}")
@@ -491,11 +491,11 @@ def brent_root(
     hi: float,
     *,
     xtol: float = 1e-13,
-    max_iter: int = 200,
 ) -> float:
     """Brent's method for a root of f on [lo, hi] with a sign change.
 
-    Raises BracketError when f(lo) and f(hi) have the same strict sign.
+    Raises BracketError when f(lo) and f(hi) have the same strict sign, and
+    ConvergenceError after 200 iterations without convergence.
     """
     if not lo < hi:
         raise DomainError(f"brent_root needs lo < hi, got [{lo}, {hi}]")
@@ -511,7 +511,7 @@ def brent_root(
     a, b = lo, hi
     c, fc = a, fa
     d = e = b - a
-    for _ in range(max_iter):
+    for _ in range(200):
         if (fb > 0.0) == (fc > 0.0):
             c, fc = a, fa
             d = e = b - a
@@ -547,7 +547,7 @@ def brent_root(
         a, fa = b, fb
         b += d if abs(d) > tol1 else math.copysign(tol1, xm)
         fb = f(b)
-    raise ConvergenceError(f"brent_root hit the {max_iter} iteration limit")
+    raise ConvergenceError("brent_root hit the 200 iteration limit")
 
 
 @dataclass(frozen=True)
@@ -595,14 +595,14 @@ def maximize_1d(
     *,
     n_grid: int = 512,
     tol: float = 1e-10,
-    max_refine: int = 200,
 ) -> OptimResult1D:
     """Maximize f on [lo, hi]: coarse grid scan, then golden-section refinement.
 
     The grid scan makes the search robust to multiple local maxima and kinks;
-    golden-section then shrinks the best grid cell's bracket below tol. The
-    returned value never falls below the best grid sample (monotone
-    improvement), and exact ties resolve toward the smaller abscissa.
+    golden-section then shrinks the best grid cell's bracket below tol, in at
+    most 200 steps (converged reports whether it got there). The returned
+    value never falls below the best grid sample (monotone improvement), and
+    exact ties resolve toward the smaller abscissa.
     """
     if not lo < hi:
         raise DomainError(f"maximize_1d needs lo < hi, got [{lo}, {hi}]")
@@ -623,7 +623,7 @@ def maximize_1d(
     x2 = a + _INV_GOLDEN * (b - a)
     f1, f2 = f(x1), f(x2)
     n_evals += 2
-    for _ in range(max_refine):
+    for _ in range(200):
         if (b - a) <= tol:
             converged = True
             break

@@ -150,16 +150,11 @@ def svg_line_chart(
     y_label: str,
     log_x: bool = False,
     vlines: Sequence[tuple[float, str]] = (),
-    width: int = 640,
-    height: int = 420,
 ) -> str:
     xs = [float(p[0]) for _, pts in series for p in pts]
     ys = [float(p[1]) for _, pts in series for p in pts]
-    frame = _Frame(xs, ys, width, height, log_x)
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">'
-    ]
+    frame = _Frame(xs, ys, 640, 420, log_x)
+    parts = ['<svg xmlns="http://www.w3.org/2000/svg" width="640" height="420" viewBox="0 0 640 420">']
     parts.extend(frame.axes(title, x_label, y_label))
     for i, (label, pts) in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
@@ -192,16 +187,11 @@ def svg_scatter(
     title: str,
     x_label: str,
     y_label: str,
-    width: int = 480,
-    height: int = 480,
 ) -> str:
     xs = [float(p[0]) for p in points]
     ys = [float(p[1]) for p in points]
-    frame = _Frame(xs, ys, width, height, log_x=False)
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">'
-    ]
+    frame = _Frame(xs, ys, 480, 480, log_x=False)
+    parts = ['<svg xmlns="http://www.w3.org/2000/svg" width="480" height="480" viewBox="0 0 480 480">']
     parts.extend(frame.axes(title, x_label, y_label))
     for x, y in points:
         parts.append(

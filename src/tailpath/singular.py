@@ -37,6 +37,8 @@ def _check_params(alpha: float, beta: float) -> None:
 
 def log_gap(alpha: float, beta: float, u: float, x: float) -> float:
     """Log-scale defining gap alpha ln(1-x) - beta ln(1-u^2/x) on (u^2, 1)."""
+    if not u * u < x < 1.0:
+        raise DomainError(f"log_gap needs x in (u^2, 1) = ({u * u}, 1), got {x}")
     return alpha * math.log1p(-x) - beta * math.log1p(-u * u / x)
 
 
@@ -47,6 +49,8 @@ def curve_residual(alpha: float, beta: float, u: float, x: float) -> float:
     keeps full precision; a base of exactly zero contributes exactly zero,
     which covers the u = 1 endpoint where both sides vanish.
     """
+    if not u * u <= x <= 1.0 or x == 0.0:
+        raise DomainError(f"curve_residual needs x > 0 in [u^2, 1] = [{u * u}, 1], got {x}")
     left = 0.0 if x == 1.0 else math.exp(alpha * math.log1p(-x))
     vy = u * u / x
     right = 0.0 if vy == 1.0 else math.exp(beta * math.log1p(-vy))
@@ -135,8 +139,6 @@ def asymptotic_report(
     beta: float,
     u_schedule: Sequence[float],
     path: PathResult,
-    *,
-    converge_tol: float = 0.05,
 ) -> SingularAsymptotics:
     """Compare the path maximizer and the singular curve against sqrt(beta/alpha).
 
@@ -144,7 +146,7 @@ def asymptotic_report(
     common limit, and the gap |phi_star - x_star|. The path must have been
     traced on the survival MO model over exactly this schedule (ScheduleError
     otherwise). Convergence flags require the final gap to the limit to be
-    below converge_tol and no larger than the initial one.
+    below 0.05 and no larger than the initial one.
     """
     _check_params(alpha, beta)
     us = [float(u) for u in u_schedule]
@@ -171,7 +173,7 @@ def asymptotic_report(
     def converges(values: list[float]) -> bool:
         first = abs(values[0] - target)
         last = abs(values[-1] - target)
-        return last <= converge_tol and last <= first
+        return last <= 0.05 and last <= first
 
     return SingularAsymptotics(
         rows=tuple(rows),

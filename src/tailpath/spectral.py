@@ -48,7 +48,7 @@ class SpectralModel:
     rho: float
 
     def __post_init__(self) -> None:
-        if self.nu <= 0.0:
+        if not self.nu > 0.0:
             raise DomainError(f"SpectralModel needs nu > 0, got {self.nu}")
         if not -1.0 < self.rho < 1.0:
             raise DomainError(f"SpectralModel needs rho in (-1, 1), got {self.rho}")

@@ -92,7 +92,7 @@ def tail_copula_tev(nu: float, rho: float, x: float, y: float) -> float:
                  + y T_{nu+1}(eta (rho - (x/y)^(-1/nu)))
     with eta = sqrt((nu+1)/(1-rho^2)).
     """
-    if nu <= 0.0:
+    if not nu > 0.0:
         raise DomainError(f"tail_copula_tev needs nu > 0, got {nu}")
     if not -1.0 < rho < 1.0:
         raise DomainError(f"tail_copula_tev needs rho in (-1, 1), got {rho}")
@@ -112,17 +112,15 @@ def tail_copula_zero(x: float, y: float) -> float:
     return 0.0
 
 
-def default_t_sequence(
-    x: float, y: float, *, cdf_abs_error: float = 1e-8, t_floor: float = 1e-5
-) -> list[float]:
+def default_t_sequence(x: float, y: float, *, cdf_abs_error: float = 1e-8) -> list[float]:
     """Geometric t sequence {0.1 * 2^-k} for the numeric tail-copula limit.
 
     Capped so that t * max(x, y) <= 1 (the cdf stays on the unit square) and
-    floored where the cdf's absolute error divided by t would exceed 1e-3,
-    which keeps error amplification in C(tx, ty)/t bounded.
+    floored at 1e-5, or higher where the cdf's absolute error divided by t
+    would exceed 1e-3, which keeps error amplification in C(tx, ty)/t bounded.
     """
     hi = min(0.1, 1.0 / max(x, y, 1e-300))
-    lo = max(t_floor, cdf_abs_error / 1e-3)
+    lo = max(1e-5, cdf_abs_error / 1e-3)
     seq = []
     t = hi
     while t >= lo:
@@ -146,11 +144,10 @@ def tail_copula_numeric(
     model: Copula,
     x: float,
     y: float,
-    t_sequence: Sequence[float] | None = None,
     *,
     cdf_abs_error: float = 1e-8,
 ) -> NumericTailValue:
-    """Numeric-limit tail copula: extrapolate C(tx, ty)/t along a t sequence.
+    """Numeric-limit tail copula: extrapolate C(tx, ty)/t along default_t_sequence.
 
     Aitken delta-squared acceleration on the last three ratios r. The
     reported error is the accelerator's own, |d2 q / (1 - q)| with
@@ -163,16 +160,7 @@ def tail_copula_numeric(
     _check_quadrant(x, y)
     if x == 0.0 or y == 0.0:
         return NumericTailValue(value=0.0, error=0.0, ratios=())
-    if t_sequence is None:
-        ts = default_t_sequence(x, y, cdf_abs_error=cdf_abs_error)
-    else:
-        ts = [float(t) for t in t_sequence]
-        if any(t2 >= t1 for t1, t2 in zip(ts, ts[1:])):
-            raise DomainError("t_sequence must be strictly decreasing")
-        if not ts or ts[0] <= 0.0:
-            raise DomainError("t_sequence must be positive")
-        if ts[0] * max(x, y) > 1.0 + 1e-12:
-            raise DomainError("t_sequence must satisfy t*max(x, y) <= 1")
+    ts = default_t_sequence(x, y, cdf_abs_error=cdf_abs_error)
     ratios = []
     for t in ts:
         ratios.append(model.cdf(min(t * x, 1.0), min(t * y, 1.0)) / t)
@@ -193,21 +181,12 @@ def tail_copula_numeric(
 class NumericTailCopula:
     """Numeric-limit tail copula of an arbitrary model, callable as Lambda(x, y)."""
 
-    def __init__(
-        self,
-        model: Copula,
-        t_sequence: Sequence[float] | None = None,
-        *,
-        cdf_abs_error: float = 1e-8,
-    ) -> None:
+    def __init__(self, model: Copula, *, cdf_abs_error: float = 1e-8) -> None:
         self.model = model
-        self.t_sequence = None if t_sequence is None else tuple(t_sequence)
         self.cdf_abs_error = float(cdf_abs_error)
 
     def value_and_error(self, x: float, y: float) -> NumericTailValue:
-        return tail_copula_numeric(
-            self.model, x, y, self.t_sequence, cdf_abs_error=self.cdf_abs_error
-        )
+        return tail_copula_numeric(self.model, x, y, cdf_abs_error=self.cdf_abs_error)
 
     def __call__(self, x: float, y: float) -> float:
         return self.value_and_error(x, y).value
@@ -259,37 +238,29 @@ class MtcmResult:
         }
 
 
-def mtcm(
-    tail: Callable[[float, float], float],
-    *,
-    bracket: float = 1e3,
-    n_grid: int = 512,
-    tol: float = 1e-10,
-    degeneracy_threshold: float = 1e-10,
-    unique_atol: float = 1e-9,
-    max_expansions: int = 6,
-) -> MtcmResult:
+def mtcm(tail: Callable[[float, float], float], *, n_grid: int = 512) -> MtcmResult:
     """Maximize the profile b -> Lambda(b, 1/b) and return (b_star, lambda_star).
 
     The search runs in s = ln b over [-ln(bracket), ln(bracket)], treating b
     and 1/b symmetrically: a grid scan, then golden-section refinement of the
-    best grid cell. Since Lambda(b, 1/b) <= min(b, 1/b), any profile value
-    above 1/bracket certifies that nothing outside the bracket can win; when
-    the grid argmax instead crowds the boundary the bracket is widened by 10x
-    (up to max_expansions, then ConvergenceError reports the anomaly).
+    best grid cell to 1e-10 in s. The bracket starts at 1e3. Since
+    Lambda(b, 1/b) <= min(b, 1/b), any profile value above 1/bracket
+    certifies that nothing outside the bracket can win; when the grid argmax
+    instead crowds the boundary the bracket is widened by 10x, up to 6 times
+    (to 1e9), after which ConvergenceError reports the anomaly.
 
     Raises DegenerateTailError when the profile maximum over the initial
-    bracket is below degeneracy_threshold: the tail copula is identically
-    zero at this resolution and every downstream tail quantity is undefined.
-    A non-finite profile value counts as -inf, as in maximize_1d, and a
-    profile with no finite value on the grid raises DomainError.
+    bracket is below the degeneracy threshold 1e-10: the tail copula is
+    identically zero at this resolution and every downstream tail quantity
+    is undefined. A non-finite profile value counts as -inf, as in
+    maximize_1d, and a profile with no finite value on the grid raises
+    DomainError.
 
     The uniqueness flag is a grid-level diagnostic: it clears when some grid
-    point outside the refined cell comes within unique_atol of the maximum
-    (a plateau or a competing branch), and is not a certification.
+    point outside the refined cell comes within the plateau tolerance 1e-9
+    of the maximum (a plateau or a competing branch), and is not a
+    certification.
     """
-    if bracket <= 1.0:
-        raise DomainError(f"mtcm bracket must exceed 1, got {bracket}")
     if n_grid < 3:
         raise DomainError(f"mtcm needs n_grid >= 3, got {n_grid}")
 
@@ -297,7 +268,7 @@ def mtcm(
         e = math.exp(s)
         return tail(e, 1.0 / e)
 
-    s_max = math.log(bracket)
+    s_max = math.log(1e3)
     expansions = 0
     n_evals = 0
     while True:
@@ -306,20 +277,20 @@ def mtcm(
         f_best = float(fs[i_best])
         if not math.isfinite(f_best):
             raise DomainError("tail profile returned no finite values on the grid")
-        if f_best < degeneracy_threshold:
+        if f_best < 1e-10:
             raise DegenerateTailError(
                 f"profile maximum {f_best:.3e} below degeneracy threshold "
-                f"{degeneracy_threshold:.1e}: tail copula is degenerate"
+                "1.0e-10: tail copula is degenerate"
             )
         edge_dist = min(ss[i_best] + s_max, s_max - ss[i_best])
         near_edge = edge_dist < 0.05 * (2.0 * s_max)
         provably_inside = f_best > math.exp(-s_max)
         if near_edge and not provably_inside:
             expansions += 1
-            if expansions > max_expansions:
+            if expansions > 6:
                 raise ConvergenceError(
                     "profile maximum keeps crowding the search boundary after "
-                    f"{max_expansions} bracket expansions (last bracket "
+                    "6 bracket expansions (last bracket "
                     f"{math.exp(s_max):.1e}); attainment is suspect"
                 )
             s_max += math.log(10.0)
@@ -328,13 +299,13 @@ def mtcm(
 
     lo = ss[max(i_best - 1, 0)]
     hi = ss[min(i_best + 1, n_grid - 1)]
-    refined = maximize_1d(profile, lo, hi, n_grid=3, tol=tol)
+    refined = maximize_1d(profile, lo, hi, n_grid=3, tol=1e-10)
     n_evals += refined.n_evals
     s_star, f_star = refined.argmax, refined.max_value
     if f_best > f_star or (f_best == f_star and ss[i_best] < s_star):
         s_star, f_star = ss[i_best], f_best
 
-    near = [i for i, f in enumerate(fs) if f >= f_best - unique_atol]
+    near = [i for i, f in enumerate(fs) if f >= f_best - 1e-9]
     unique = bool(near) and near[0] >= i_best - 1 and near[-1] <= i_best + 1
 
     samples = tuple((math.exp(s), f) for s, f in zip(ss, fs))

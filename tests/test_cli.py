@@ -95,6 +95,22 @@ class TestExitCodes:
         assert main([*argv, "--tol-cdf", "1e-8"]) == 2
         assert "--tol-cdf" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("path", "--seed", "1"),
+            ("mtcm", "--tol-opt", "1e-8"),
+            ("spectral", "--seed", "1"),
+            ("singular", "--tol-opt", "1e-8"),
+            ("sample", "--tol-opt", "1e-8"),
+        ],
+    )
+    def test_removed_flags_are_rejected(self, tmp_path, capsys, command, flag, value):
+        # --seed lives on sample and figure only; no command takes --tol-opt.
+        argv = [command, "--model", "smo:alpha=0.35,beta=0.7", "--out", str(tmp_path)]
+        assert main([*argv, flag, value]) == 2
+        assert flag in capsys.readouterr().err
+
     def test_increasing_schedule_is_config_error(self, tmp_path, capsys):
         code = main(
             [

@@ -22,6 +22,8 @@ from tailpath.numerics import (
     _student_t_cdf_array,
 )
 from tailpath.singular import log_gap
+from tailpath.spectral import SpectralModel
+from tailpath.tailcopula import tail_copula_tev
 
 
 class TestStudentT:
@@ -160,6 +162,23 @@ class TestStudentT:
             _student_t_cdf_array(np.array([0.5, math.nan]), 4.0)
         with pytest.raises(DomainError):
             _student_t_cdf_array(np.array([0.5]), 0.0)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda nu: SpectralModel(nu, 0.5),
+            lambda nu: student_t_pdf(0.0, nu),
+            lambda nu: student_t_cdf(1.0, nu),
+            lambda nu: student_t_quantile(0.1, nu),
+            lambda nu: _student_t_cdf_array(np.array([0.5]), nu),
+            lambda nu: tail_copula_tev(nu, 0.5, 1.0, 1.0),
+        ],
+        ids=["SpectralModel", "pdf", "cdf", "quantile", "cdf_array", "tail_copula_tev"],
+    )
+    def test_nan_nu_raises(self, call):
+        # NaN fails every comparison, so a `nu <= 0` guard would let it through.
+        with pytest.raises(DomainError):
+            call(math.nan)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):

@@ -23,6 +23,29 @@ class TestSingularRoot:
             assert abs(log_gap(0.35, 0.7, float(u), pt.x_star)) <= 1e-10
             assert abs(curve_residual(0.35, 0.7, float(u), pt.x_star)) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: log_gap(0.5, 0.5, 0.5, 2.0),
+            lambda: log_gap(0.5, 0.5, 0.5, 1.0),
+            lambda: log_gap(0.5, 0.5, 0.5, 0.25),
+            lambda: log_gap(0.5, 0.5, 0.5, math.nan),
+            lambda: curve_residual(0.5, 0.5, 0.5, 0.1),
+            lambda: curve_residual(0.5, 0.5, 0.5, 1.5),
+            lambda: curve_residual(0.5, 0.5, 0.0, 0.0),
+        ],
+    )
+    def test_helpers_reject_x_off_the_slice(self, call):
+        # log_gap is defined on (u^2, 1), curve_residual on [u^2, 1]; outside
+        # them math.log1p would raise a bare ValueError.
+        with pytest.raises(DomainError):
+            call()
+
+    def test_residual_at_slice_ends(self):
+        # Each end zeroes one side of (1-x)^alpha - (1-u^2/x)^beta exactly.
+        assert curve_residual(0.5, 0.5, 0.5, 1.0) == pytest.approx(-math.sqrt(0.75), abs=1e-15)
+        assert curve_residual(0.5, 0.5, 0.5, 0.25) == pytest.approx(math.sqrt(0.75), abs=1e-15)
+
     def test_bracket(self):
         for u in (0.05, 0.4, 0.95):
             pt = singular_root(0.35, 0.7, u)
