@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import BracketError, ConvergenceError, DomainError
@@ -552,12 +552,14 @@ def brent_root(
 
 @dataclass(frozen=True)
 class OptimResult1D:
-    """Outcome of a 1-d maximization: location, value, effort, convergence."""
+    """Outcome of a 1-d maximization: location, value, effort, convergence, grid."""
 
     argmax: float
     max_value: float
     n_evals: int
     converged: bool
+    grid_x: list[float] = field(repr=False)
+    grid_f: list[float] = field(repr=False)
 
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -575,19 +577,6 @@ def _linspace(lo: float, hi: float, n: int) -> list[float]:
     return xs
 
 
-def _grid_scan(
-    f: Callable[[float], float], lo: float, hi: float, n: int
-) -> tuple[list[float], list[float], int]:
-    """f on _linspace(lo, hi, n) with non-finite values taken as -inf.
-
-    Returns the grid, the values and the first index of the largest value,
-    so ties go to the smaller abscissa.
-    """
-    xs = _linspace(lo, hi, n)
-    fs = [v if math.isfinite(v) else -math.inf for v in map(f, xs)]
-    return xs, fs, fs.index(max(fs))
-
-
 def maximize_1d(
     f: Callable[[float], float],
     lo: float,
@@ -602,7 +591,9 @@ def maximize_1d(
     golden-section then shrinks the best grid cell's bracket below tol, in at
     most 200 steps (converged reports whether it got there). The returned
     value never falls below the best grid sample (monotone improvement), and
-    exact ties resolve toward the smaller abscissa.
+    exact ties resolve toward the smaller abscissa. The result carries the
+    scanned grid, n_grid evenly spaced points from lo to hi, and f on it with
+    non-finite values taken as -inf.
     """
     if not lo < hi:
         raise DomainError(f"maximize_1d needs lo < hi, got [{lo}, {hi}]")
@@ -610,7 +601,10 @@ def maximize_1d(
         raise DomainError(f"maximize_1d needs n_grid >= 3, got {n_grid}")
     if tol <= 0.0:
         raise DomainError("maximize_1d needs tol > 0")
-    xs, fs, i_best = _grid_scan(f, lo, hi, n_grid)
+    xs = _linspace(lo, hi, n_grid)
+    fs = [v if math.isfinite(v) else -math.inf for v in map(f, xs)]
+    # First index of the largest value, so ties go to the smaller abscissa.
+    i_best = fs.index(max(fs))
     n_evals = n_grid
     best_x, best_f = xs[i_best], float(fs[i_best])
     if not math.isfinite(best_f):
@@ -641,7 +635,14 @@ def maximize_1d(
             cand_f > best_f or (cand_f == best_f and cand_x < best_x)
         ):
             best_x, best_f = cand_x, cand_f
-    return OptimResult1D(argmax=best_x, max_value=best_f, n_evals=n_evals, converged=converged)
+    return OptimResult1D(
+        argmax=best_x,
+        max_value=best_f,
+        n_evals=n_evals,
+        converged=converged,
+        grid_x=xs,
+        grid_f=fs,
+    )
 
 
 def aitken_limit(seq: Sequence[float]) -> tuple[float, float]:

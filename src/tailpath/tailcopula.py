@@ -31,8 +31,8 @@ from .copulas import (
     StudentT,
     Survival,
 )
-from .errors import ConvergenceError, DegenerateTailError, DomainError
-from .numerics import _grid_scan, aitken_limit, maximize_1d, student_t_cdf
+from .errors import DegenerateTailError, DomainError
+from .numerics import aitken_limit, maximize_1d, student_t_cdf
 
 __all__ = [
     "MtcmResult",
@@ -241,77 +241,57 @@ class MtcmResult:
 def mtcm(tail: Callable[[float, float], float], *, n_grid: int = 512) -> MtcmResult:
     """Maximize the profile b -> Lambda(b, 1/b) and return (b_star, lambda_star).
 
-    The search runs in s = ln b over [-ln(bracket), ln(bracket)], treating b
-    and 1/b symmetrically: a grid scan, then golden-section refinement of the
-    best grid cell to 1e-10 in s. The bracket starts at 1e3. Since
-    Lambda(b, 1/b) <= min(b, 1/b), any profile value above 1/bracket
-    certifies that nothing outside the bracket can win; when the grid argmax
-    instead crowds the boundary the bracket is widened by 10x, up to 6 times
-    (to 1e9), after which ConvergenceError reports the anomaly.
+    The search is one maximize_1d call in s = ln b over [-ln 1e3, ln 1e3],
+    treating b and 1/b symmetrically: a grid scan, then golden-section
+    refinement of the best grid cell to 1e-10 in s. It assumes
+    Lambda(x, y) <= min(x, y), which every tail copula meets, so that
+    Lambda(b, 1/b) <= min(b, 1/b): a profile value f certifies that the
+    maximizer lies in |ln b| <= -ln f. When the first maximum is below 1e-3
+    that bound reaches past the bracket, and the search is run once more over
+    it; the second result replaces the first. A callable that breaks the
+    assumption gets no such certificate. No bracket is widened further, and
+    the search raises no ConvergenceError of its own.
 
-    Raises DegenerateTailError when the profile maximum over the initial
+    Raises DegenerateTailError when the profile maximum over the first
     bracket is below the degeneracy threshold 1e-10: the tail copula is
     identically zero at this resolution and every downstream tail quantity
     is undefined. A non-finite profile value counts as -inf, as in
-    maximize_1d, and a profile with no finite value on the grid raises
-    DomainError.
+    maximize_1d, which raises DomainError for a profile with no finite value
+    on the grid and for n_grid < 3.
 
     The uniqueness flag is a grid-level diagnostic: it clears when some grid
     point outside the refined cell comes within the plateau tolerance 1e-9
-    of the maximum (a plateau or a competing branch), and is not a
-    certification.
+    of the grid maximum (a plateau or a competing branch), and is not a
+    certification. profile_samples is the final search's grid.
     """
-    if n_grid < 3:
-        raise DomainError(f"mtcm needs n_grid >= 3, got {n_grid}")
 
     def profile(s: float) -> float:
         e = math.exp(s)
         return tail(e, 1.0 / e)
 
     s_max = math.log(1e3)
-    expansions = 0
-    n_evals = 0
-    while True:
-        ss, fs, i_best = _grid_scan(profile, -s_max, s_max, n_grid)
-        n_evals += n_grid
-        f_best = float(fs[i_best])
-        if not math.isfinite(f_best):
-            raise DomainError("tail profile returned no finite values on the grid")
-        if f_best < 1e-10:
-            raise DegenerateTailError(
-                f"profile maximum {f_best:.3e} below degeneracy threshold "
-                "1.0e-10: tail copula is degenerate"
-            )
-        edge_dist = min(ss[i_best] + s_max, s_max - ss[i_best])
-        near_edge = edge_dist < 0.05 * (2.0 * s_max)
-        provably_inside = f_best > math.exp(-s_max)
-        if near_edge and not provably_inside:
-            expansions += 1
-            if expansions > 6:
-                raise ConvergenceError(
-                    "profile maximum keeps crowding the search boundary after "
-                    "6 bracket expansions (last bracket "
-                    f"{math.exp(s_max):.1e}); attainment is suspect"
-                )
-            s_max += math.log(10.0)
-            continue
-        break
+    res = maximize_1d(profile, -s_max, s_max, n_grid=n_grid, tol=1e-10)
+    n_evals = res.n_evals
+    if res.max_value < 1e-10:
+        raise DegenerateTailError(
+            f"profile maximum {res.max_value:.3e} below degeneracy threshold "
+            "1.0e-10: tail copula is degenerate"
+        )
+    if res.max_value < 1e-3:
+        s_max = -math.log(res.max_value)
+        res = maximize_1d(profile, -s_max, s_max, n_grid=n_grid, tol=1e-10)
+        n_evals += res.n_evals
 
-    lo = ss[max(i_best - 1, 0)]
-    hi = ss[min(i_best + 1, n_grid - 1)]
-    refined = maximize_1d(profile, lo, hi, n_grid=3, tol=1e-10)
-    n_evals += refined.n_evals
-    s_star, f_star = refined.argmax, refined.max_value
-    if f_best > f_star or (f_best == f_star and ss[i_best] < s_star):
-        s_star, f_star = ss[i_best], f_best
+    fs = res.grid_f
+    f_grid = max(fs)
+    i_best = fs.index(f_grid)
+    near = [i for i, f in enumerate(fs) if f >= f_grid - 1e-9]
+    unique = near[0] >= i_best - 1 and near[-1] <= i_best + 1
 
-    near = [i for i, f in enumerate(fs) if f >= f_best - 1e-9]
-    unique = bool(near) and near[0] >= i_best - 1 and near[-1] <= i_best + 1
-
-    samples = tuple((math.exp(s), f) for s, f in zip(ss, fs))
+    samples = tuple((math.exp(s), f) for s, f in zip(res.grid_x, fs))
     return MtcmResult(
-        b_star=math.exp(s_star),
-        lambda_star=f_star,
+        b_star=math.exp(res.argmax),
+        lambda_star=res.max_value,
         unique=unique,
         profile_samples=samples,
         n_evals=n_evals,
@@ -325,7 +305,9 @@ def profile_curve(
     out = []
     for b in b_values:
         b = float(b)
-        if b <= 0.0:
-            raise DomainError(f"profile abscissae must be positive, got {b}")
+        if not 0.0 < b < math.inf:
+            raise DomainError(
+                f"profile abscissae must be positive and finite, got {b}"
+            )
         out.append((b, tail(b, 1.0 / b)))
     return out

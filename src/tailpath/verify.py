@@ -4,7 +4,7 @@ Each suite returns CheckResult records; a suite passes when every record
 does. The suites pair independent routes wherever two exist (closed form vs
 solver, quadrature vs algebra, path limit vs profile maximum, sampler vs
 cdf), so a regression in either route trips the comparison. The CLI `verify`
-command and the acceptance tests are thin wrappers over run_suite/run_all.
+command and the acceptance tests are thin wrappers over run_suite.
 Suites that draw random inputs or build grids import numpy when they run, so
 importing this module (which the CLI parser does) does not load it.
 """
@@ -55,7 +55,7 @@ from .tailcopula import (
     tail_copula_tev,
 )
 
-__all__ = ["CheckResult", "SUITES", "run_all", "run_suite"]
+__all__ = ["CheckResult", "SUITES", "run_suite"]
 
 _T_PAIRS = ((4.0, 0.5), (2.0, -0.3), (10.0, 0.8))
 
@@ -87,6 +87,12 @@ def smo_mtcm_suite() -> list[CheckResult]:
         _leq("smo(0.35,0.7) lambda_star", abs(res.lambda_star - math.sqrt(0.245)), 1e-8)
     )
     out.append(_check("smo(0.35,0.7) unique flag", res.unique, str(res.unique)))
+    # b_star = sqrt(1e7) lies beyond the first bracket [1e-3, 1e3].
+    res = mtcm(partial(tail_copula_smo, 1e-7, 1.0))
+    out.append(_leq("smo(1e-7,1) b_star", abs(res.b_star - math.sqrt(1e7)), 1e-6))
+    out.append(
+        _leq("smo(1e-7,1) lambda_star", abs(res.lambda_star - math.sqrt(1e-7)), 1e-8)
+    )
     rng = np.random.default_rng(20260819)
     worst_b, worst_lam = 0.0, 0.0
     for _ in range(10):
@@ -456,7 +462,3 @@ def run_suite(key: str) -> list[CheckResult]:
     if key not in SUITES:
         raise KeyError(f"unknown suite {key!r}; choices: {', '.join(SUITES)}")
     return SUITES[key][1]()
-
-
-def run_all() -> dict[str, list[CheckResult]]:
-    return {key: run_suite(key) for key in SUITES}

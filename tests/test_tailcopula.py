@@ -340,6 +340,24 @@ class TestMtcm:
         with pytest.raises(DomainError):
             mtcm(SMO, n_grid=1)
 
+    @pytest.mark.parametrize("alpha", [1e-7, 1e-12])
+    def test_rescan_finds_maximizer_beyond_first_bracket(self, alpha):
+        # b_star = sqrt(1 / alpha) > 1e3; the first maximum, ~1e3 alpha, bounds
+        # the rescan at |ln b| <= -ln(1e3 alpha).
+        res = mtcm(partial(tail_copula_smo, alpha, 1.0))
+        assert res.b_star == pytest.approx(math.sqrt(1.0 / alpha), rel=1e-9)
+        assert res.lambda_star == pytest.approx(math.sqrt(alpha), abs=1e-12)
+
+    def test_rescan_finds_outer_peak(self):
+        # Two peaks: 5e-4 at b = 1 inside the first bracket, and the global
+        # maximum sqrt(4e-7) at b = sqrt(2.5e6) outside it.
+        def tail(x, y):
+            return max(min(5e-4 * x, 5e-4 * y), min(4e-7 * x, y))
+
+        res = mtcm(tail)
+        assert res.lambda_star == pytest.approx(math.sqrt(4e-7), abs=1e-12)
+        assert res.b_star == pytest.approx(math.sqrt(2.5e6), rel=1e-9)
+
 
 class TestProfileCurve:
     def test_matches_tail(self):
@@ -351,3 +369,8 @@ class TestProfileCurve:
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):
             profile_curve(SMO, [1.0, 0.0])
+
+    @pytest.mark.parametrize("b", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_rejects_off_half_line(self, b):
+        with pytest.raises(DomainError):
+            profile_curve(lambda x, y: min(x, y), [b])
