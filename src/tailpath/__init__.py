@@ -67,7 +67,6 @@ from .tailcopula import (
     analytic_tail_copula,
     default_t_sequence,
     mtcm,
-    profile_curve,
     tail_copula_from_pickands,
     tail_copula_numeric,
     tail_copula_smo,
@@ -116,7 +115,6 @@ __all__ = [
     "log_gap",
     "maximize_slice",
     "mtcm",
-    "profile_curve",
     "profile_kernel",
     "profile_kernel_log_slope",
     "rectangle_volume",

@@ -35,7 +35,7 @@ from .numerics import _linspace
 from .output import svg_line_chart, svg_scatter, write_csv, write_json, write_text
 from .singular import singular_root
 from .spectral import SpectralModel, h_density, profile_kernel, smoothed_profile
-from .tailcopula import MtcmResult, analytic_tail_copula, mtcm, profile_curve
+from .tailcopula import MtcmResult, analytic_tail_copula, mtcm
 from .verify import SUITES, run_suite
 
 __all__ = ["main", "parse_model", "parse_schedule"]
@@ -167,14 +167,10 @@ def _mo_params(model: Copula) -> tuple[float, float]:
 
 
 def _emit_profile(model: Copula, out: str, prefix: str, fmt: str) -> MtcmResult:
-    import numpy as np  # logspace: 10.0 ** x differs from it in the last bit
-
-    tail = analytic_tail_copula(model)
-    bs = np.logspace(-2.0, 2.0, 401).tolist()
-    with _op(f"profile curve for {model.spec()}"):
-        curve = profile_curve(tail, bs)
     with _op(f"mtcm solve for {model.spec()}"):
-        result = mtcm(tail)
+        result = mtcm(analytic_tail_copula(model))
+    # The grid mtcm searched, so the table and the chart contain b*.
+    curve = result.profile_samples
     write_csv(os.path.join(out, f"{prefix}profile.csv"), ("b", "lambda_profile"), curve)
     write_json(os.path.join(out, f"{prefix}mtcm.json"), result.to_json_dict())
     if fmt == "svg":
@@ -239,9 +235,7 @@ def _emit_singular(
     alpha: float, beta: float, out: str, prefix: str, fmt: str, schedule: Sequence[float] | None
 ) -> list[tuple]:
     if schedule is None:
-        import numpy as np  # logspace: 10.0 ** x differs from it in the last bit
-
-        us = np.logspace(0.0, -4.0, 201).tolist()
+        us = [10.0**s for s in _linspace(0.0, -4.0, 201)]
     else:
         us = list(schedule)
     rows = []
@@ -445,7 +439,11 @@ def _add_common(sub: argparse.ArgumentParser, *, model: bool = True) -> None:
         "--format",
         choices=("csv", "json", "svg"),
         default="csv",
-        help="artifact tier: csv tables only, json adds summaries, svg adds charts",
+        help=(
+            "artifact tier: csv writes the tables (default); json adds path.json "
+            "to path and figure; svg adds charts but not path.json. profile and "
+            "mtcm write mtcm.json at every tier"
+        ),
     )
 
 

@@ -407,14 +407,18 @@ def _t_cdf_quadrature(nu: float, rho: float, h: float, k: float) -> float:
 
     Integrates over the first coordinate, where the conditional law of the
     second given the first is a rescaled t with nu + 1 degrees of freedom.
-    For nu >= 1 the lower tail goes through integrate_adaptive's rational map.
-    Below nu = 1 that map leaves a w^(nu - 1) singularity at the infinite
-    end, so the tail below x0 = min(h, -1) is mapped by s = x0 w^(-1/nu)
-    instead: its Jacobian cancels the density's |s|^-(nu+1) decay and the
-    integrand, K |x0|^-nu (1 + nu/s^2)^(-(nu+1)/2) T_{nu+1}(z), stays bounded
-    on [0, 1], with K the constant of the tail bound T_nu(x) <= K |x|^-nu.
-    There h > 0 is reflected to -h first.
+    For every nu, h > 0 is first reflected to -h through (-X, Y), so the
+    integral never spans the far upper tail. For nu >= 1 the lower tail then
+    goes through integrate_adaptive's rational map. Below nu = 1 that map
+    leaves a w^(nu - 1) singularity at the infinite end, so the tail below
+    x0 = min(h, -1) is mapped by s = x0 w^(-1/nu) instead: its Jacobian
+    cancels the density's |s|^-(nu+1) decay and the integrand,
+    K |x0|^-nu (1 + nu/s^2)^(-(nu+1)/2) T_{nu+1}(z), stays bounded on [0, 1],
+    with K the constant of the tail bound T_nu(x) <= K |x|^-nu.
     """
+    if h > 0.0:
+        # (-X, Y) has correlation -rho.
+        return student_t_cdf(k, nu) - _t_cdf_quadrature(nu, -rho, -h, k)
     scale = math.sqrt((nu + 1.0) / (1.0 - rho * rho))
 
     def integrand(s: float) -> float:
@@ -423,9 +427,6 @@ def _t_cdf_quadrature(nu: float, rho: float, h: float, k: float) -> float:
 
     if nu >= 1.0:
         return integrate_adaptive(integrand, -math.inf, h, abs_tol=1e-12, rel_tol=1e-10)
-    if h > 0.0:
-        # (-X, Y) has correlation -rho, so the integral never spans the far upper tail.
-        return student_t_cdf(k, nu) - _t_cdf_quadrature(nu, -rho, -h, k)
     x0 = min(h, -1.0)
     front = math.exp(_ln_t_tail_constant(nu) - nu * math.log(-x0))  # K |x0|^-nu
 
@@ -449,7 +450,9 @@ class StudentT(Copula):
     form, a finite sum of about nu/2 terms whose cost grows past that of
     quadrature at a few thousand. Every other nu goes through adaptive
     quadrature of the exact conditional decomposition, which verify also
-    uses as the independent check on the closed form. Radially symmetric,
+    uses as the independent check on the closed form; for every nu it
+    reflects a positive first quantile, so it never integrates across the
+    far upper tail. Radially symmetric,
     so it equals its own survival copula; tail dependent for every rho > -1.
     """
 

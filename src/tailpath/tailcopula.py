@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable
 
 from .copulas import (
     AsymGumbel,
@@ -40,7 +40,6 @@ __all__ = [
     "analytic_tail_copula",
     "default_t_sequence",
     "mtcm",
-    "profile_curve",
     "tail_copula_from_pickands",
     "tail_copula_numeric",
     "tail_copula_smo",
@@ -221,7 +220,12 @@ def analytic_tail_copula(model: Copula) -> Callable[[float, float], float]:
 
 @dataclass(frozen=True)
 class MtcmResult:
-    """Maximal tail concordance: maximizer, maximum, and solver diagnostics."""
+    """Maximal tail concordance: maximizer, maximum, and solver diagnostics.
+
+    profile_samples holds the (b, Lambda(b, 1/b)) pairs of the grid the
+    final search scanned, in increasing b; `tailpath profile` writes them
+    as profile.csv and as the profile.svg curve.
+    """
 
     b_star: float
     lambda_star: float
@@ -262,7 +266,8 @@ def mtcm(tail: Callable[[float, float], float], *, n_grid: int = 512) -> MtcmRes
     The uniqueness flag is a grid-level diagnostic: it clears when some grid
     point outside the refined cell comes within the plateau tolerance 1e-9
     of the grid maximum (a plateau or a competing branch), and is not a
-    certification. profile_samples is the final search's grid.
+    certification. profile_samples is the final search's grid, which
+    `tailpath profile` writes as its table and chart.
     """
 
     def profile(s: float) -> float:
@@ -296,18 +301,3 @@ def mtcm(tail: Callable[[float, float], float], *, n_grid: int = 512) -> MtcmRes
         profile_samples=samples,
         n_evals=n_evals,
     )
-
-
-def profile_curve(
-    tail: Callable[[float, float], float], b_values: Sequence[float]
-) -> list[tuple[float, float]]:
-    """Sample the profile b -> Lambda(b, 1/b) at the given abscissae."""
-    out = []
-    for b in b_values:
-        b = float(b)
-        if not 0.0 < b < math.inf:
-            raise DomainError(
-                f"profile abscissae must be positive and finite, got {b}"
-            )
-        out.append((b, tail(b, 1.0 / b)))
-    return out

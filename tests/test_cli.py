@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -279,6 +280,8 @@ runs = [
     ["mtcm", "--model", "sag:alpha=0.35,beta=0.7,theta=2"],
     ["spectral", "--model", "t:nu=4,rho=0.5"],
     ["singular", "--model", "smo:alpha=0.35,beta=0.7", "--schedule", "0.1,0.01,0.001"],
+    ["profile", "--model", "smo:alpha=0.35,beta=0.7", "--format", "svg"],
+    ["singular", "--model", "smo:alpha=0.35,beta=0.7"],
 ]
 for i, argv in enumerate(runs):
     assert main(argv + ["--out", f"{out}/{i}"]) == 0, argv
@@ -357,6 +360,23 @@ class TestSvgTier:
         assert code == 0
         text = read(tmp_path / "profile.svg")
         assert text.startswith("<svg")
+
+    def test_profile_holds_maximizer_beyond_first_bracket(self, tmp_path):
+        # b* = sqrt(1e7) lies outside mtcm's first bracket [1e-3, 1e3].
+        argv = ["profile", "--model", "smo:alpha=1e-7,beta=1", "--format", "svg"]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        lines = read(tmp_path / "profile.csv").splitlines()
+        assert lines[0] == "b,lambda_profile"
+        rows = [tuple(float(c) for c in line.split(",")) for line in lines[1:]]
+        assert len(rows) == 512
+        i_peak = max(range(len(rows)), key=lambda i: rows[i][1])
+        b_peak = rows[i_peak][0]
+        cell = math.log(rows[1][0] / rows[0][0])
+        assert abs(math.log(b_peak / math.sqrt(1e7))) <= cell
+        svg = read(tmp_path / "profile.svg")
+        marker = re.search(r'<line x1="([0-9.]+)"[^>]*stroke-dasharray', svg)
+        assert marker is not None
+        assert 62.0 <= float(marker.group(1)) <= 624.0
 
 
 class TestFigureCommand:

@@ -309,6 +309,12 @@ class TestStudentTRoutes:
                 continue
             assert max(u + v - 1.0, 0.0) <= c <= min(u, v)
 
+    def test_positive_first_quantile_is_reflected_for_nu_above_one(self):
+        # h = T_nu^-1(1 - 1e-6) is far in the upper tail; the integral over
+        # (-inf, h] lost 1.3e-8 relative there. 40-digit mpmath reference.
+        want = 0.19999997533544811982
+        assert StudentT(1.01, 0.95).cdf(1.0 - 1e-6, 0.2) == pytest.approx(want, rel=1e-9)
+
     def test_degenerate_correlation(self):
         for nu in (3.0, 4.0):
             assert StudentT(nu, 1.0 - 1e-16).cdf(0.2, 0.3) == pytest.approx(0.2, abs=1e-15)

@@ -22,7 +22,6 @@ from tailpath.tailcopula import (
     analytic_tail_copula,
     default_t_sequence,
     mtcm,
-    profile_curve,
     tail_copula_from_pickands,
     tail_copula_numeric,
     tail_copula_smo,
@@ -357,20 +356,3 @@ class TestMtcm:
         res = mtcm(tail)
         assert res.lambda_star == pytest.approx(math.sqrt(4e-7), abs=1e-12)
         assert res.b_star == pytest.approx(math.sqrt(2.5e6), rel=1e-9)
-
-
-class TestProfileCurve:
-    def test_matches_tail(self):
-        tail = SMO
-        curve = profile_curve(tail, [0.5, 1.0, 2.0])
-        for b, val in curve:
-            assert val == tail(b, 1.0 / b)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(DomainError):
-            profile_curve(SMO, [1.0, 0.0])
-
-    @pytest.mark.parametrize("b", [math.nan, math.inf, -math.inf, 0.0, -1.0])
-    def test_rejects_off_half_line(self, b):
-        with pytest.raises(DomainError):
-            profile_curve(lambda x, y: min(x, y), [b])
