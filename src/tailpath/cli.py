@@ -82,7 +82,8 @@ def parse_model(spec: str) -> Copula:
 
     A `surv-` prefix composes the survival transform with any base spec
     (`smo` and `sag` are shorthands that arrive pre-composed, so
-    `surv-smo:...` denotes the plain Marshall-Olkin model again).
+    `surv-smo:...` denotes the plain Marshall-Olkin model again). The t
+    copula is its own survival copula, so `surv-t:...` is `t:...`.
     """
     text = spec.strip()
     if text.startswith("surv-"):

@@ -525,9 +525,16 @@ class Survival(Copula):
 
 
 def survival(model: Copula) -> Copula:
-    """Survival transform with the involution applied: survival(survival(C)) is C."""
+    """Survival transform with the involution applied: survival(survival(C)) is C.
+
+    The Student-t copula is radially symmetric, so it is its own survival
+    copula and comes back unchanged: its cdf then stays in range in the far
+    tail, where u + v - 1 + C(1-u, 1-v) cancels to below zero.
+    """
     if isinstance(model, Survival):
         return model.base
+    if isinstance(model, StudentT):
+        return model
     return Survival(model)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .copulas import Copula
 from .errors import DomainError, ScheduleError, TailPathError
@@ -140,8 +140,8 @@ def trace_path(
     """Trace the slice maximizer over a decreasing u schedule and extrapolate.
 
     lambda_phi_star accelerates pi_over_u and b_limit accelerates ratio_b,
-    both by Aitken delta-squared on the last three successful points, with
-    the spread-based estimate from the accelerator as the reported error.
+    both by aitken_limit over the successful points, whose error estimate is
+    the reported error: infinite when fewer than three points succeed.
     lambda_phi_star is a tail dependence coefficient, so it is clamped into
     [0, 1]: for a tail-independent model the extrapolation can land a
     rounding error below 0. lambda_err is the unclamped estimate.
@@ -159,14 +159,8 @@ def trace_path(
             failures.append((u, str(exc)))
     if not points:
         raise ScheduleError("every scheduled slice failed; see failures")
-    lam_seq = [p.pi_over_u for p in points]
-    b_seq = [p.ratio_b for p in points]
-    if len(points) >= 3:
-        lam, lam_err = aitken_limit(lam_seq)
-        b_lim, b_err = aitken_limit(b_seq)
-    else:
-        lam, lam_err = lam_seq[-1], math.inf
-        b_lim, b_err = b_seq[-1], math.inf
+    lam, lam_err = aitken_limit([p.pi_over_u for p in points])
+    b_lim, b_err = aitken_limit([p.ratio_b for p in points])
     return PathResult(
         points=tuple(points),
         lambda_phi_star=min(max(lam, 0.0), 1.0),
@@ -205,39 +199,22 @@ class EquivalenceReport:
     def ok(self) -> bool:
         return self.lambda_ok and self.b_ok
 
-    def to_json_dict(self) -> dict:
-        return {
-            "lambda_star": self.lambda_star,
-            "lambda_phi_star": self.lambda_phi_star,
-            "lambda_diff": self.lambda_diff,
-            "lambda_ok": self.lambda_ok,
-            "b_star": self.b_star,
-            "b_limit": self.b_limit,
-            "b_diff": self.b_diff,
-            "b_ok": self.b_ok,
-        }
 
-
-def equivalence_report(
-    model: Copula,
-    tail: Callable[[float, float], float] | None = None,
-    u_schedule: Sequence[float] | None = None,
-) -> EquivalenceReport:
+def equivalence_report(model: Copula) -> EquivalenceReport:
     """Cross-check the two routes to maximal tail dependence on one model.
 
     Runs mtcm on the tail copula first (raising DegenerateTailError when the
     tail is identically zero, in which case no path limit exists to compare),
-    then traces the path and reports both differences with pass/fail flags.
-    When tail is omitted, the closed form is used if the family has one and
-    the numeric-limit tail copula otherwise.
+    then traces the path on the default u schedule and reports both
+    differences with pass/fail flags. The tail copula is the closed form
+    where the family has one and the numeric-limit tail copula otherwise.
     """
-    if tail is None:
-        try:
-            tail = analytic_tail_copula(model)
-        except DomainError:
-            tail = NumericTailCopula(model)
+    try:
+        tail = analytic_tail_copula(model)
+    except DomainError:
+        tail = NumericTailCopula(model)
     m = mtcm(tail)
-    path = trace_path(model, u_schedule)
+    path = trace_path(model)
     lambda_diff = abs(path.lambda_phi_star - m.lambda_star)
     b_diff = abs(path.b_limit - m.b_star)
     lambda_budget = 0.01 + path.lambda_err

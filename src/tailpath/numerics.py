@@ -648,16 +648,22 @@ def maximize_1d(
 def aitken_limit(seq: Sequence[float]) -> tuple[float, float]:
     """Accelerated limit of a convergent sequence via Aitken's delta-squared.
 
-    Uses the last three terms; the returned error estimate is the spread
-    between the accelerated value and the final raw term, which is
+    The one rule by which tailpath turns a finite sequence into a limit and
+    an error, for the path limits of trace_path and the numeric tail copula
+    alike. Uses the last three terms; the returned error estimate is the
+    spread between the accelerated value and the final raw term, which is
     |d2 q / (1 - q)| with first differences d1, d2 and ratio q = d2 / d1:
     the sum of the geometric corrections after the final term. Falls back to
     the final term when the second difference is too small to divide by
     (already converged, or not geometric), with the last first-difference
-    as error.
+    as error. One or two terms give no ratio q to estimate, so they return
+    the final term with an infinite error; an empty sequence raises
+    DomainError.
     """
+    if len(seq) == 0:
+        raise DomainError("aitken_limit needs at least one term")
     if len(seq) < 3:
-        raise DomainError(f"aitken_limit needs at least 3 terms, got {len(seq)}")
+        return seq[-1], math.inf
     x0, x1, x2 = seq[-3], seq[-2], seq[-1]
     d1 = x1 - x0
     d2 = x2 - x1

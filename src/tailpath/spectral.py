@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .numerics import integrate_adaptive, student_t_cdf, student_t_pdf
+from .tailcopula import _check_quadrant
 
 __all__ = [
     "SpectralModel",
@@ -125,8 +126,7 @@ def spectral_tail_copula(sm: SpectralModel, x: float, y: float) -> float:
     there. Quadrature runs in the substituted variable and splits at the
     kink q = (x/y)^(1/nu) (the image of w = y/(x+y)).
     """
-    if x < 0.0 or y < 0.0:
-        raise DomainError(f"tail copula arguments must be nonnegative, got ({x}, {y})")
+    _check_quadrant(x, y)
     if x == 0.0 or y == 0.0:
         return 0.0
     nu, rho, eta = sm.nu, sm.rho, sm.eta

@@ -50,8 +50,10 @@ __all__ = [
 
 def _check_quadrant(x: float, y: float) -> None:
     # Written so that NaN fails it too.
-    if not (x >= 0.0 and y >= 0.0):
-        raise DomainError(f"tail copula arguments must be nonnegative, got ({x}, {y})")
+    if not (0.0 <= x < math.inf and 0.0 <= y < math.inf):
+        raise DomainError(
+            f"tail copula arguments must be finite and nonnegative, got ({x}, {y})"
+        )
 
 
 def tail_copula_smo(alpha: float, beta: float, x: float, y: float) -> float:
@@ -111,22 +113,22 @@ def tail_copula_zero(x: float, y: float) -> float:
     return 0.0
 
 
-def default_t_sequence(x: float, y: float, *, cdf_abs_error: float = 1e-8) -> list[float]:
+def default_t_sequence(x: float, y: float) -> list[float]:
     """Geometric t sequence {0.1 * 2^-k} for the numeric tail-copula limit.
 
     Capped so that t * max(x, y) <= 1 (the cdf stays on the unit square) and
-    floored at 1e-5, or higher where the cdf's absolute error divided by t
-    would exceed 1e-3, which keeps error amplification in C(tx, ty)/t bounded.
+    floored at 1e-5, which bounds the amplification 1/t of the cdf's
+    absolute error in C(tx, ty)/t. Past max(x, y) = 25000 the cap leaves
+    fewer than three terms, and past 1e5 the one term left is the floor.
     """
     hi = min(0.1, 1.0 / max(x, y, 1e-300))
-    lo = max(1e-5, cdf_abs_error / 1e-3)
     seq = []
     t = hi
-    while t >= lo:
+    while t >= 1e-5:
         seq.append(t)
         t *= 0.5
     if not seq:
-        seq = [lo]
+        seq = [1e-5]
     return seq
 
 
@@ -148,29 +150,23 @@ def tail_copula_numeric(
 ) -> NumericTailValue:
     """Numeric-limit tail copula: extrapolate C(tx, ty)/t along default_t_sequence.
 
-    Aitken delta-squared acceleration on the last three ratios r. The
-    reported error is the accelerator's own, |d2 q / (1 - q)| with
-    d2 = r[-1] - r[-2] and q = d2 / (r[-2] - r[-3]): the geometric tail of
-    corrections still to come. The spread |d2| of the last two ratios alone
-    understates it by the factor |q / (1 - q)| when the ratios converge
-    slowly (q ~ 0.95 per halving of t at nu ~ 30 for the Student-t). The
-    error is never below 1e-3 of the cdf's noise floor cdf_abs_error / t_last.
+    The ratios r go to aitken_limit, and the reported error is the
+    accelerator's own, |d2 q / (1 - q)| with d2 = r[-1] - r[-2] and
+    q = d2 / (r[-2] - r[-3]): the geometric tail of corrections still to
+    come. The spread |d2| of the last two ratios alone understates it by the
+    factor |q / (1 - q)| when the ratios converge slowly (q ~ 0.95 per
+    halving of t at nu ~ 30 for the Student-t). With fewer than three ratios
+    (max(x, y) > 25000) there is no q, and the error is infinite. The error
+    is never below 1e-3 of the cdf's noise floor cdf_abs_error / t_last.
     """
     _check_quadrant(x, y)
     if x == 0.0 or y == 0.0:
         return NumericTailValue(value=0.0, error=0.0, ratios=())
-    ts = default_t_sequence(x, y, cdf_abs_error=cdf_abs_error)
+    ts = default_t_sequence(x, y)
     ratios = []
     for t in ts:
         ratios.append(model.cdf(min(t * x, 1.0), min(t * y, 1.0)) / t)
-    if len(ratios) >= 3:
-        value, error = aitken_limit(ratios)
-    elif len(ratios) == 2:
-        value = ratios[-1]
-        error = abs(ratios[-1] - ratios[-2])
-    else:
-        value = ratios[-1]
-        error = abs(value)
+    value, error = aitken_limit(ratios)
     noise_floor = cdf_abs_error / ts[-1]
     return NumericTailValue(
         value=value, error=max(error, noise_floor * 1e-3), ratios=tuple(ratios)
@@ -198,7 +194,10 @@ def analytic_tail_copula(model: Copula) -> Callable[[float, float], float]:
     Tail-independent families (independence, FGM, plain MO and plain AG, whose
     lower tails vanish) map to tail_copula_zero so that the MTCM solver can
     diagnose them uniformly. Independence, FGM, comonotone and Student-t are
-    radially symmetric, so their survival models share the tail.
+    radially symmetric, so their survival models share the tail;
+    survival() returns a StudentT unchanged, and only an explicitly built
+    Survival(StudentT) reaches the shared branch here. Every returned form
+    raises DomainError unless x and y are finite and nonnegative.
     """
     surv = isinstance(model, Survival)
     base = model.base if surv else model

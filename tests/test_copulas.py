@@ -244,6 +244,13 @@ class TestStudentTCopula:
         for u, v in ((0.2, 0.3), (0.5, 0.8), (0.05, 0.95)):
             assert sm.cdf(u, v) == pytest.approx(m.cdf(u, v), abs=5e-8)
 
+    def test_survival_helper_returns_t(self):
+        # The reflection u + v - 1 + C(1-u, 1-v) cancels to -1.4e-11 here,
+        # below the cdf's range; the t copula is its own survival copula.
+        m = StudentT(2.69, 0.15)
+        assert survival(m) is m
+        assert survival(m).cdf(8.8e-10, 5.5e-12) >= 0.0
+
 
 class TestStudentTRoutes:
     @pytest.mark.parametrize("nu", [1, 2, 3, 4, 7])

@@ -1,11 +1,11 @@
 import math
-from functools import partial
 
 import numpy as np
 import pytest
 
 from tailpath.copulas import (
     Comonotone,
+    Copula,
     FGM,
     Independence,
     MarshallOlkin,
@@ -21,7 +21,23 @@ from tailpath.maxpath import (
     trace_path,
 )
 from tailpath.numerics import aitken_limit, maximize_1d
-from tailpath.tailcopula import tail_copula_smo
+from tailpath.tailcopula import analytic_tail_copula
+
+
+class _Clayton(Copula):
+    """Clayton copula C = (u^-theta + v^-theta - 1)^(-1/theta), theta > 0."""
+
+    def __init__(self, theta):
+        self.theta = theta
+
+    def cdf(self, u, v):
+        if u == 0.0 or v == 0.0:
+            return 0.0
+        th = self.theta
+        return (u**-th + v**-th - 1.0) ** (-1.0 / th)
+
+    def spec(self):
+        return f"clayton:theta={self.theta}"
 
 
 def _slice_with_builtin_clamps(model, u, n_grid=512, tol=1e-10):
@@ -197,18 +213,18 @@ class TestEquivalenceReport:
         rep = equivalence_report(survival(AsymGumbel(0.35, 0.7, 2.0)))
         assert rep.ok
 
-    def test_explicit_tail_override(self):
-        rep = equivalence_report(
-            survival(MarshallOlkin(0.35, 0.7)), tail=partial(tail_copula_smo, 0.35, 0.7)
-        )
-        assert rep.ok
-
-    def test_json_payload_round_trips(self):
-        rep = equivalence_report(survival(MarshallOlkin(0.35, 0.7)))
-        payload = rep.to_json_dict()
-        assert payload["lambda_ok"] and payload["b_ok"]
-        assert payload["b_star"] == rep.b_star
-
     def test_degenerate_model_raises(self):
         with pytest.raises(DegenerateTailError):
             equivalence_report(FGM(-1.0))
+
+    def test_numeric_tail_fallback(self):
+        # No closed form is registered for Clayton, so the report falls back
+        # to NumericTailCopula: Lambda = (x^-theta + y^-theta)^(-1/theta),
+        # with lambda* = 2^(-1/theta) at b* = 1.
+        with pytest.raises(DomainError):
+            analytic_tail_copula(_Clayton(2.0))
+        rep = equivalence_report(_Clayton(2.0))
+        assert rep.ok
+        assert rep.lambda_star == pytest.approx(2.0**-0.5, abs=1e-14)
+        assert rep.b_star == pytest.approx(1.0, abs=1e-8)
+        assert rep.lambda_phi_star == pytest.approx(2.0**-0.5, abs=1e-14)

@@ -337,6 +337,8 @@ class TestAitken:
         assert limit == 2.0
         assert err == 0.0
 
-    def test_needs_three_points(self):
+    def test_short_sequence_rule(self):
         with pytest.raises(DomainError):
-            aitken_limit([1.0, 2.0])
+            aitken_limit([])
+        assert aitken_limit([0.3]) == (0.3, math.inf)
+        assert aitken_limit([1.0, 0.7]) == (0.7, math.inf)

@@ -17,6 +17,7 @@ from tailpath.copulas import (
 )
 from tailpath.errors import DegenerateTailError, DomainError
 from tailpath.numerics import student_t_cdf
+from tailpath.spectral import SpectralModel, spectral_tail_copula
 from tailpath.tailcopula import (
     NumericTailCopula,
     analytic_tail_copula,
@@ -118,11 +119,21 @@ class TestClosedForms:
             partial(tail_copula_tev, 4.0, 0.5),
             tail_copula_zero,
             lambda x, y: tail_copula_numeric(StudentT(4.0, 0.5), x, y),
+            partial(spectral_tail_copula, SpectralModel(4.0, 0.5)),
         ],
-        ids=["smo", "pickands", "tev", "zero", "numeric"],
+        ids=["smo", "pickands", "tev", "zero", "numeric", "spectral"],
     )
     def test_nan_argument_raises(self, tail):
-        for x, y in ((math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan)):
+        for x, y in (
+            (math.nan, 1.0),
+            (1.0, math.nan),
+            (math.nan, math.nan),
+            (math.nan, 0.0),
+            (0.0, math.nan),
+            (math.inf, 1.0),
+            (1.0, math.inf),
+            (math.inf, math.inf),
+        ):
             with pytest.raises(DomainError):
                 tail(x, y)
 
@@ -171,15 +182,16 @@ class TestNumericLimit:
         got = tail_copula_numeric(Independence(), 1.0, 1.0)
         assert abs(got.value) <= 1e-4
 
-    def test_short_sequence_degrades_to_spread_error(self):
-        # Far out, t * x <= 1 caps the sequence at 1/x, just above its 1e-5 floor.
+    def test_short_sequence_reports_infinite_error(self):
+        # Far out, t * x <= 1 caps the sequence at 1/x, just above its 1e-5
+        # floor; with fewer than three ratios aitken_limit has no ratio q.
         got = tail_copula_numeric(Comonotone(), 5e4, 1.0)
         assert got.value == 1.0
-        assert got.error >= 0.0
+        assert got.error == math.inf
         assert len(got.ratios) == 2
         got = tail_copula_numeric(Comonotone(), 1e5, 1.0)
         assert got.value == 1.0
-        assert got.error == 1.0
+        assert got.error == math.inf
         assert len(got.ratios) == 1
 
     def test_default_sequence_respects_bounds(self):
