@@ -147,10 +147,17 @@ def _outdir(args: argparse.Namespace) -> str:
     return path
 
 
+def _check_sampling(args: argparse.Namespace) -> None:
+    """Reject a sample size below 1 or a negative seed before any file is written."""
+    if args.n <= 0:
+        raise ConfigError(f"--n must be positive, got {args.n}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
+
+
 def _t_params(model: Copula) -> tuple[float, float]:
-    base = model.base if isinstance(model, Survival) else model
-    if isinstance(base, StudentT):
-        return base.nu, base.rho
+    if isinstance(model, StudentT):
+        return model.nu, model.rho
     raise ConfigError("this command needs a Student-t model, e.g. t:nu=4,rho=0.5")
 
 
@@ -367,8 +374,7 @@ def cmd_singular(args: argparse.Namespace) -> int:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
-    if args.n <= 0:
-        raise ConfigError(f"--n must be positive, got {args.n}")
+    _check_sampling(args)
     model = parse_model(args.model)
     out = _outdir(args)
     _emit_sample(model, out, "", args.format, n=args.n, seed=args.seed)
@@ -377,6 +383,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
+    _check_sampling(args)
     out = _outdir(args)
     models = [
         ("smo-", survival(MarshallOlkin(0.35, 0.7))),

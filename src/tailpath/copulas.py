@@ -3,12 +3,12 @@
 Each family exposes the same small surface: ``cdf(u, v)`` evaluated exactly
 from its closed form, and ``sample(n, seed)`` drawing from the model. Sampling
 is exact where a stochastic representation exists (independence, comonotone,
-Marshall-Olkin shocks, the Student-t scale mixture) and otherwise inverts the
-conditional distribution: draw u and p uniform and solve dC/du(u, v) = p for
-v. For FGM that is a quadratic with a closed-form root; the asymmetric Gumbel
-bisects its analytic dC/du over all draws at once. Every sampler works on
-whole arrays and imports numpy when called; the cdfs are plain float
-arithmetic, so evaluating a model never loads it.
+Marshall-Olkin shocks, the asymmetric Gumbel's positive-stable frailty, the
+Student-t scale mixture). FGM inverts its conditional distribution instead:
+draw u and p uniform and solve dC/du(u, v) = p for v, a quadratic with a
+closed-form root, so no sampler bisects or searches for a root. Every
+sampler works on whole arrays and imports numpy when called; the cdfs are
+plain float arithmetic, so evaluating a model never loads it.
 
 The survival transform is a first-class wrapper because lower-tail questions
 about a model are upper-tail questions about its survival copula.
@@ -44,9 +44,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 _TINY = sys.float_info.min
-
-# Halvings of [0, 1] in the asymmetric Gumbel sampler: 2^-42 = 2.3e-13.
-_AG_BISECTIONS = 42
 
 
 def _check_unit_pair(u: float, v: float) -> None:
@@ -268,59 +265,41 @@ class AsymGumbel(Copula):
         w = math.log(v) / s
         return math.exp(s * self.pickands(w))
 
-    def _conditional_cdf(self, ln_u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """h(v|u) = dC/du (u, v) over arrays, given ln u, for v in (0, 1).
-
-        h = C(u, v) / u (A(w) - w A'(w)) with w = ln v / ln(uv). For the
-        asymmetric logistic A, A - w A' = 1 - alpha + alpha (q / M)^(theta - 1),
-        with q = alpha (1 - w) and M the mix of PickandsFn, which is taken in
-        the same rescaled form (here in logs). h rises from 0 to 1 in v.
-        """
-        import numpy as np
-
-        a, b, t = self.alpha, self.beta, self.theta
-        ln_v = np.log(v)
-        s = ln_u + ln_v
-        w = ln_v / s
-        p = b * w
-        q = a * (1.0 - w)
-        m = np.maximum(p, q)
-        with np.errstate(divide="ignore"):  # min(p, q) = 0 at w = 1, where u rounds to 1
-            ln_r = np.log(np.minimum(p, q) / m)
-        ln_mix = np.log1p(np.exp(t * ln_r)) / t  # ln(M / m)
-        pick = (1.0 - b) * w + (1.0 - a) * (1.0 - w) + m * np.exp(ln_mix)
-        ln_qm = np.where(q < p, ln_r, 0.0) - ln_mix  # ln(q / M)
-        return np.exp(s * pick - ln_u) * (1.0 - a + a * np.exp((t - 1.0) * ln_qm))
-
     def sample(self, n: int, seed: int | None = None) -> np.ndarray:
+        """Exact draws from Khoudraji's product form of the model.
+
+        C(u, v) = u^(1-alpha) v^(1-beta) G(u^alpha, v^beta), with G the
+        symmetric Gumbel copula of parameter theta. So U is the larger of
+        S^(1/alpha) and an independent uniform to the power 1/(1-alpha), and
+        V likewise with T and beta, for (S, T) drawn from G. G comes from
+        Marshall and Olkin's frailty construction (JASA 83, 1988): -ln S =
+        (E1/M)^k and -ln T = (E2/M)^k, with k = 1/theta, E1 and E2 standard
+        exponential, and M positive stable with E exp(-tM) = exp(-t^k). M
+        comes from Kanter's representation (Ann. Probab. 3, 1975), M =
+        (A(W)/E)^((1-k)/k) with W uniform on (0, pi], E standard exponential
+        and A(W) = (sin(kW)^k sin((1-k)W)^(1-k) / sin W)^(1/(1-k)). It is all
+        held in logs, so theta = 500 neither overflows nor underflows.
+        """
         import numpy as np
 
         rng = np.random.default_rng(seed)
-        u = rng.random(n)
-        return np.column_stack([u, self._conditional_quantile(u, rng.random(n))])
-
-    def _conditional_quantile(self, u: np.ndarray, p: np.ndarray) -> np.ndarray:
-        """v with h(v|u) = p, bisected for all entries at once.
-
-        After _AG_BISECTIONS halvings of [0, 1] the bracket is narrower than
-        the 1e-12 tolerance of a per-draw root find; v is then the secant
-        point of h inside it, which keeps |h(v|u) - p| at rounding level
-        where the density is steep (large theta).
-        """
-        import numpy as np
-
-        # u = 0 has probability 2^-53 a draw; the smallest normal stands in for it.
-        ln_u = np.log(np.maximum(u, _TINY))
-        lo, hi = np.zeros(u.shape), np.ones(u.shape)
-        h_lo, h_hi = np.zeros(u.shape), np.ones(u.shape)  # h(0|u) = 0, h(1|u) = 1
-        for _ in range(_AG_BISECTIONS):
-            mid = 0.5 * (lo + hi)
-            h_mid = self._conditional_cdf(ln_u, mid)
-            below = h_mid < p
-            lo, h_lo = np.where(below, mid, lo), np.where(below, h_mid, h_lo)
-            hi, h_hi = np.where(below, hi, mid), np.where(below, h_hi, h_mid)
-        # h_lo < p <= h_hi, except at p = 0, where lo = h_lo = 0 and so v = 0.
-        return lo + (p - h_lo) / np.maximum(h_hi - h_lo, _TINY) * (hi - lo)
+        k = 1.0 / self.theta
+        w = np.pi * (1.0 - rng.random(n))
+        e = rng.standard_exponential((5, n))  # E, E1, E2, then -ln of the two uniforms
+        ln_e = np.log(e[:3])
+        # -k ln M = (1-k) (ln E - ln A(W)), with (1-k) ln A(W) expanded so that
+        # no 1/(1-k) is formed; sin(kW)^k is taken before the log so that
+        # theta = inf (k = 0, the comonotone G) gives 0 and not 0 * -inf.
+        neg_k_ln_m = (1.0 - k) * (ln_e[0] - np.log(np.sin((1.0 - k) * w)))
+        neg_k_ln_m += np.log(np.sin(w)) - np.log(np.sin(k * w) ** k)
+        cols = []
+        for ln_ei, weight, own in ((ln_e[1], self.alpha, e[3]), (ln_e[2], self.beta, e[4])):
+            # -ln S / alpha, or -ln T / beta; then the independent factor's share.
+            x = np.exp(k * ln_ei + neg_k_ln_m) / weight
+            if weight < 1.0:
+                x = np.minimum(x, own / (1.0 - weight))
+            cols.append(np.exp(-x))
+        return np.column_stack(cols)
 
     def spec(self) -> str:
         return f"ag:alpha={self.alpha:g},beta={self.beta:g},theta={self.theta:g}"
@@ -476,11 +455,13 @@ class StudentT(Copula):
         xu = student_t_quantile(u, nu)
         yv = student_t_quantile(v, nu)
         if nu.is_integer() and nu <= _DUNNETT_SOBEL_MAX_NU:
-            # The sum cancels terms of order one, so its error is ~1e-16
-            # absolute; the Frechet bounds keep far-tail values in range.
             c = _t_cdf_dunnett_sobel(int(nu), rho, xu, yv)
-            return min(max(c, u + v - 1.0, 0.0), u, v)
-        return _t_cdf_quadrature(nu, rho, xu, yv)
+        else:
+            c = _t_cdf_quadrature(nu, rho, xu, yv)
+        # Both routes carry an absolute error (~1e-16 for the sum, which
+        # cancels terms of order one; the quadrature's tolerance for the
+        # integral), so far-tail values can leave the Frechet bounds.
+        return min(max(c, u + v - 1.0, 0.0), u, v)
 
     def sample(self, n: int, seed: int | None = None) -> np.ndarray:
         import numpy as np

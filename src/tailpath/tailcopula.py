@@ -121,6 +121,7 @@ def default_t_sequence(x: float, y: float) -> list[float]:
     absolute error in C(tx, ty)/t. Past max(x, y) = 25000 the cap leaves
     fewer than three terms, and past 1e5 the one term left is the floor.
     """
+    _check_quadrant(x, y)
     hi = min(0.1, 1.0 / max(x, y, 1e-300))
     seq = []
     t = hi

@@ -137,6 +137,24 @@ class TestExitCodes:
             ["sample", "--model", "indep", "--n", "0", "--out", str(tmp_path)]
         )
         assert code == 2
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sample", "--model", "indep", "--seed", "-1"],
+            ["figure", "--seed", "-3"],
+            ["figure", "--n", "-5"],
+            ["figure", "--n", "0"],
+            ["figure", "--n", "0", "--format", "svg"],
+        ],
+        ids=["sample-seed-1", "figure-seed-3", "figure-n-5", "figure-n0", "figure-n0-svg"],
+    )
+    def test_bad_sample_size_or_seed_is_config_error(self, argv, tmp_path, capsys):
+        # sample and figure share one check, made before any file is written.
+        assert main([*argv, "--out", str(tmp_path)]) == 2
+        assert "tailpath: --" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 2

@@ -32,6 +32,8 @@ ALL_MODELS = [
     StudentT(4.0, 0.5),
     survival(MarshallOlkin(0.35, 0.7)),
     survival(AsymGumbel(0.35, 0.7, 2.0)),
+    AsymGumbel(0.35, 0.7, 500.0),
+    AsymGumbel(1.0, 0.05, 2.0),
 ]
 
 
@@ -39,25 +41,8 @@ def model_id(model):
     return model.spec()
 
 
-def ag_conditional_reference(alpha, beta, theta, u, v):
-    """dC/du of the asymmetric Gumbel copula, written out in scalar math.
-
-    C = exp(s A(w)) with s = ln u + ln v and w = ln v / s, so dC/du =
-    C/u (A - w A'), and for the asymmetric logistic A - w A' = 1 - alpha +
-    alpha (q/M)^(theta-1), q = alpha (1-w), M = ((beta w)^theta + q^theta)^(1/theta).
-    """
-    lu, lv = math.log(u), math.log(v)
-    s = lu + lv
-    w = lv / s
-    p, q = beta * w, alpha * (1.0 - w)
-    m = max(p, q)
-    mix = m * (1.0 + (min(p, q) / m) ** theta) ** (1.0 / theta)
-    a = (1.0 - beta) * w + (1.0 - alpha) * (1.0 - w) + mix
-    return math.exp(s * a - lu) * (1.0 - alpha + alpha * (q / mix) ** (theta - 1.0))
-
-
 def inversion_draws(n, seed):
-    """The (u, p) pairs an inversion sampler draws: u first, then p, from one generator."""
+    """The (u, p) pairs the FGM sampler draws: u first, then p, from one generator."""
     rng = np.random.default_rng(seed)
     return rng.random(n), rng.random(n)
 
@@ -292,6 +277,14 @@ class TestStudentTRoutes:
         assert calls[0] == route
 
     @pytest.mark.parametrize(
+        "nu, rho, u, v", [(7.5, -0.99, 0.5, 0.9999999), (4.5, 0.5, 0.5, 1.0 - 1e-16)]
+    )
+    def test_quadrature_route_stays_in_frechet_bounds(self, nu, rho, u, v):
+        # The quadrature's absolute error put these 1.4e-15 below the lower
+        # bound and 2.4e-13 above the upper one.
+        assert max(u + v - 1.0, 0.0) <= StudentT(nu, rho).cdf(u, v) <= min(u, v)
+
+    @pytest.mark.parametrize(
         "nu, rho, u, v",
         [
             (0.5, 0.99, 1e-3, 2e-3),  # raised ZeroDivisionError
@@ -389,6 +382,14 @@ class TestSamplers:
             (survival(MarshallOlkin(0.35, 0.7)), 40000),
             (FGM(-1.0), 20000),
             (AsymGumbel(0.35, 0.7, 2.0), 20000),
+            *(
+                (AsymGumbel(alpha, beta, theta), 20000)
+                for theta in (1.05, 50.0, 500.0)
+                for alpha, beta in ((0.1, 0.1), (1.0, 0.05), (0.05, 1.0))
+            ),
+            (survival(AsymGumbel(1.0, 0.05, 50.0)), 20000),
+            # theta = inf: the Gumbel factor is comonotone.
+            (AsymGumbel(0.35, 0.7, math.inf), 20000),
             (StudentT(4.0, 0.5), 30000),
         ],
         ids=lambda m: m.spec() if hasattr(m, "spec") else str(m),
@@ -420,33 +421,6 @@ class TestSamplers:
         # At a = 1 the root is p / (1 + sqrt(1 - p)) = 0.2, at a = -1 it is sqrt(p) = 0.6.
         at_zero, at_one = (0.2, 0.6) if theta > 0 else (0.6, 0.2)
         assert v.tolist() == pytest.approx([0.0, 0.0, at_zero, at_one, 0.0], abs=1e-15)
-
-    def test_ag_conditional_reference_is_the_derivative(self):
-        alpha, beta, theta = 0.35, 0.7, 2.0
-        model = AsymGumbel(alpha, beta, theta)
-        step = 1e-6
-        for u in (0.2, 0.5, 0.8):
-            for v in (0.1, 0.4, 0.9):
-                fd = (model.cdf(u + step, v) - model.cdf(u - step, v)) / (2.0 * step)
-                want = ag_conditional_reference(alpha, beta, theta, u, v)
-                assert want == pytest.approx(fd, abs=1e-8)
-
-    def test_ag_quantile_edges(self):
-        u = np.array([0.0, 0.0, 0.3, 1.0 - 2.0**-53, 0.999])
-        p = np.array([0.0, 0.5, 0.0, 0.5, 1.0 - 2.0**-53])
-        v = AsymGumbel(0.35, 0.7, 500.0)._conditional_quantile(u, p)
-        assert np.all((v >= 0.0) & (v <= 1.0))
-        assert v[0] == 0.0 and v[2] == 0.0
-
-    @pytest.mark.parametrize("theta", [1.05, 2.0, 50.0, 500.0])
-    def test_ag_draws_solve_conditional_equation(self, theta):
-        for alpha, beta in ((0.35, 0.7), (0.1, 0.1), (1.0, 0.05)):
-            pts = AsymGumbel(alpha, beta, theta).sample(1000, seed=21)
-            u, p = inversion_draws(1000, 21)
-            assert np.array_equal(pts[:, 0], u)
-            for ui, vi, pi in zip(u, pts[:, 1], p):
-                h = ag_conditional_reference(alpha, beta, theta, ui, vi)
-                assert abs(h - pi) <= 1e-10, (alpha, beta, ui, vi, pi)
 
     def test_independence_kendall_tau(self):
         pts = Independence().sample(100_000, seed=17)

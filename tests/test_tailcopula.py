@@ -120,8 +120,9 @@ class TestClosedForms:
             tail_copula_zero,
             lambda x, y: tail_copula_numeric(StudentT(4.0, 0.5), x, y),
             partial(spectral_tail_copula, SpectralModel(4.0, 0.5)),
+            default_t_sequence,
         ],
-        ids=["smo", "pickands", "tev", "zero", "numeric", "spectral"],
+        ids=["smo", "pickands", "tev", "zero", "numeric", "spectral", "t_sequence"],
     )
     def test_nan_argument_raises(self, tail):
         for x, y in (
