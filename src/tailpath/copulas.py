@@ -387,8 +387,16 @@ def _t_cdf_quadrature(nu: float, rho: float, h: float, k: float) -> float:
     Integrates over the first coordinate, where the conditional law of the
     second given the first is a rescaled t with nu + 1 degrees of freedom.
     For every nu, h > 0 is first reflected to -h through (-X, Y), so the
-    integral never spans the far upper tail. For nu >= 1 the lower tail then
-    goes through integrate_adaptive's rational map. Below nu = 1 that map
+    integral never spans the far upper tail. For nu >= 1 the integral is
+    taken in the quantile's own scale: s = h - sigma r with sigma =
+    max(1, -h), r in [0, inf) through integrate_adaptive's rational map, and
+    the density divided by its value at h. With c = nu / sigma^2,
+    a = h / sigma and p = r - a the integrand is
+    ((c + a^2) / (c + p^2))^((nu+1)/2) T_{nu+1}(z), in (0, 1] and free of
+    lgamma, and C = sigma t_nu(h) times its integral. The tolerance, 1e-12
+    absolute or 1e-10 relative on C, is stated on that normalised integral,
+    so the error estimate does not shrink with the density's units. Values
+    far below 1e-12 therefore carry no relative accuracy. Below nu = 1 that map
     leaves a w^(nu - 1) singularity at the infinite end, so the tail below
     x0 = min(h, -1) is mapped by s = x0 w^(-1/nu) instead: its Jacobian
     cancels the density's |s|^-(nu+1) decay and the integrand,
@@ -399,13 +407,28 @@ def _t_cdf_quadrature(nu: float, rho: float, h: float, k: float) -> float:
         # (-X, Y) has correlation -rho.
         return student_t_cdf(k, nu) - _t_cdf_quadrature(nu, -rho, -h, k)
     scale = math.sqrt((nu + 1.0) / (1.0 - rho * rho))
+    if nu >= 1.0:
+        # s = h - sigma r, in units of sigma and of the density at h.
+        sigma = max(1.0, -h)
+        front = sigma * student_t_pdf(h, nu)
+        if front == 0.0:
+            return 0.0  # t_nu(h) underflowed, so C < 1e-14: inside the 1e-12 tolerance
+        c, a, kk = nu / sigma / sigma, h / sigma, k / sigma
+        ca, power = c + a * a, 0.5 * (nu + 1.0)
+
+        def body(r: float) -> float:
+            p = r - a
+            cp = c + p * p
+            z = (kk + rho * p) * scale / math.sqrt(cp)
+            return (ca / cp) ** power * student_t_cdf(z, nu + 1.0)
+
+        abs_tol = min(1e-12 / front, sys.float_info.max)
+        return front * integrate_adaptive(body, 0.0, math.inf, abs_tol=abs_tol, rel_tol=1e-10)
 
     def integrand(s: float) -> float:
         z = (k - rho * s) * scale / math.sqrt(nu + s * s)
         return student_t_pdf(s, nu) * student_t_cdf(z, nu + 1.0)
 
-    if nu >= 1.0:
-        return integrate_adaptive(integrand, -math.inf, h, abs_tol=1e-12, rel_tol=1e-10)
     x0 = min(h, -1.0)
     front = math.exp(_ln_t_tail_constant(nu) - nu * math.log(-x0))  # K |x0|^-nu
 
@@ -431,7 +454,9 @@ class StudentT(Copula):
     quadrature of the exact conditional decomposition, which verify also
     uses as the independent check on the closed form; for every nu it
     reflects a positive first quantile, so it never integrates across the
-    far upper tail. Radially symmetric,
+    far upper tail, and for nu >= 1 it integrates in the first quantile's
+    own scale with the density normalised at that quantile, to 1e-12
+    absolute or 1e-10 relative. Radially symmetric,
     so it equals its own survival copula; tail dependent for every rho > -1.
     """
 

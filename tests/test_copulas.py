@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.special
 import scipy.stats
 
 import tailpath.copulas
@@ -20,7 +21,7 @@ from tailpath.copulas import (
 )
 from tailpath.errors import DomainError, TailPathError
 from tailpath.numerics import integrate_adaptive, student_t_pdf
-from tailpath.tailcopula import analytic_tail_copula, mtcm
+from tailpath.tailcopula import analytic_tail_copula, mtcm, tail_copula_tev
 
 ALL_MODELS = [
     Independence(),
@@ -54,17 +55,19 @@ def t_copula_reference(nu, rho, u, v):
     with s = T_nu^-1(p), y = T_nu^-1(v) and c = sqrt((nu+1) / (1-rho^2)). The
     smaller argument is integrated over, and v > 1/2 is reflected through
     C(u, v) = u - C_{-rho}(u, 1 - v), so quad never hunts for a sliver of mass.
+    scipy.special's stdtrit and stdtr are what scipy.stats.t.ppf and .cdf
+    call, without their per-call argument handling.
     """
     if u > v:
         u, v = v, u
     if v > 0.5:
         return u - t_copula_reference(nu, -rho, u, 1.0 - v)
     c = math.sqrt((nu + 1.0) / (1.0 - rho * rho))
-    y = scipy.stats.t.ppf(v, nu)
+    y = scipy.special.stdtrit(nu, v)
 
     def g(p):
-        s = scipy.stats.t.ppf(p, nu)
-        return scipy.stats.t.cdf(c * (y - rho * s) / math.sqrt(nu + s * s), nu + 1.0)
+        s = scipy.special.stdtrit(nu, p)
+        return scipy.special.stdtr(nu + 1.0, c * (y - rho * s) / math.sqrt(nu + s * s))
 
     return scipy.integrate.quad(g, 0.0, u, epsabs=0.0, epsrel=1e-12, limit=200)[0]
 
@@ -253,6 +256,36 @@ class TestStudentTRoutes:
             want = t_copula_reference(float(nu), rho, u, v)
             assert abs(m.cdf(u, v) - want) <= 1e-15 + 1e-10 * want
 
+    @pytest.mark.parametrize("nu", [1.5, 2.5, 4.5, 11.5, 30.5])
+    @pytest.mark.parametrize("rho", [-0.9, -0.3, 0.95])
+    def test_quadrature_against_reference(self, nu, rho):
+        # The quadrature route's documented tolerance: 1e-12 absolute or
+        # 1e-10 relative. Integrating at unit scale missed it in the far lower
+        # tail (nu = 1.5, rho = -0.9, u = v = 3.7e-6 was 2.5e-12 off).
+        m = StudentT(nu, rho)
+        corners = (
+            (3.7e-6, 3.7e-6),
+            (3.7e-6, 0.3),
+            (0.3, 0.7),
+            (0.999, 0.01),
+            (1.0 - 3.7e-6, 1.0 - 3.7e-6),
+            (1e-10, 1e-10),
+        )
+        for u, v in corners:
+            want = t_copula_reference(nu, rho, u, v)
+            assert abs(m.cdf(u, v) - want) <= 1e-12 + 1e-10 * want
+
+    @pytest.mark.parametrize("nu, rho", [(1.5, 0.5), (4.5, 0.9)])
+    @pytest.mark.parametrize("u", [1e-30, 1e-100])
+    def test_deep_tail_follows_tail_dependence(self, nu, rho, u):
+        # C(u, u) ~ lambda u as u -> 0, with lambda the tail dependence
+        # coefficient. These values lie far below the route's 1e-12 absolute
+        # tolerance, so the 1e-3 bound claims no relative accuracy; it only
+        # catches the collapse of the unit-scale integral, which read at most
+        # 2e-4 of lambda u here.
+        lam = tail_copula_tev(nu, rho, 1.0, 1.0)
+        assert StudentT(nu, rho).cdf(u, u) / (u * lam) == pytest.approx(1.0, abs=1e-3)
+
     @pytest.mark.parametrize(
         "nu, route",
         [
@@ -298,7 +331,7 @@ class TestStudentTRoutes:
         want = t_copula_reference(nu, rho, u, v)
         assert StudentT(nu, rho).cdf(u, v) == pytest.approx(want, rel=1e-8)
 
-    @pytest.mark.parametrize("nu", [1.0, 2.0, 3.0, 4.0, 5.0, 30.0])
+    @pytest.mark.parametrize("nu", [1.0, 2.0, 3.0, 4.0, 5.0, 30.0, 1.5, 4.5])
     @pytest.mark.parametrize("rho", [-0.9, 0.5, 0.9999999])
     def test_far_tails_stay_in_frechet_bounds(self, nu, rho):
         m = StudentT(nu, rho)
