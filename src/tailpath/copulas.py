@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 
 from .errors import DomainError
 from .numerics import student_t_cdf, student_t_quantile, student_t_pdf
-from .numerics import _ln_t_tail_constant, _student_t_cdf_array, integrate_adaptive
+from .numerics import _ln_t_tail_constant, _student_t_cdf_array, _student_t_ln_pdf, integrate_adaptive
 
 __all__ = [
     "AsymGumbel",
@@ -393,10 +393,12 @@ def _t_cdf_quadrature(nu: float, rho: float, h: float, k: float) -> float:
     the density divided by its value at h. With c = nu / sigma^2,
     a = h / sigma and p = r - a the integrand is
     ((c + a^2) / (c + p^2))^((nu+1)/2) T_{nu+1}(z), in (0, 1] and free of
-    lgamma, and C = sigma t_nu(h) times its integral. The tolerance, 1e-12
-    absolute or 1e-10 relative on C, is stated on that normalised integral,
-    so the error estimate does not shrink with the density's units. Values
-    far below 1e-12 therefore carry no relative accuracy. Below nu = 1 that map
+    lgamma, and C = sigma t_nu(h) times its integral. sigma t_nu(h) is formed
+    from the log density, since t_nu(h) alone underflows where C does not
+    (u = 1e-200 at nu = 1.5). The tolerance, 1e-12 absolute or 1e-10
+    relative on C, is stated on that normalised integral, so the error
+    estimate does not shrink with the density's units. Values far below
+    1e-12 therefore carry no relative accuracy. Below nu = 1 that map
     leaves a w^(nu - 1) singularity at the infinite end, so the tail below
     x0 = min(h, -1) is mapped by s = x0 w^(-1/nu) instead: its Jacobian
     cancels the density's |s|^-(nu+1) decay and the integrand,
@@ -410,9 +412,9 @@ def _t_cdf_quadrature(nu: float, rho: float, h: float, k: float) -> float:
     if nu >= 1.0:
         # s = h - sigma r, in units of sigma and of the density at h.
         sigma = max(1.0, -h)
-        front = sigma * student_t_pdf(h, nu)
+        front = math.exp(math.log(sigma) + _student_t_ln_pdf(h, nu))
         if front == 0.0:
-            return 0.0  # t_nu(h) underflowed, so C < 1e-14: inside the 1e-12 tolerance
+            return 0.0  # C < 1e-300: inside the 1e-12 tolerance
         c, a, kk = nu / sigma / sigma, h / sigma, k / sigma
         ca, power = c + a * a, 0.5 * (nu + 1.0)
 

@@ -6,7 +6,8 @@ function (continued fraction, Lentz's method) and log-gamma, for every nu > 0.
 The finite series of Abramowitz & Stegun 26.7.3-4 for integer nu is not used:
 it cancels in the lower tail (relative error up to 3e-11 at T = 3.7e-6 and
 9e-5 at T = 1e-12 for nu in 1..30), where the continued fraction holds 1e-14. The quantile is
-Newton from the power-law tail bound with a bisection safeguard. The bivariate
+Halley iteration with a bisection safeguard, started from a corrected power-law
+tail bound or a Cornish-Fisher expansion, whichever is estimated closer. The bivariate
 Student-t cdf lives with the copula (copulas.StudentT): a closed form for
 integer nu up to 1000, quadrature built on these functions otherwise.
 Integration is adaptive Gauss-Kronrod (G7/K15) with worst-interval bisection;
@@ -85,30 +86,45 @@ _GAUSS_WEIGHTS = (
 )
 
 
-def betainc_regularized(a: float, b: float, x: float) -> float:
+def betainc_regularized(a: float, b: float, x: float, xc: float | None = None) -> float:
     """Regularized incomplete beta function I_x(a, b).
 
     Continued-fraction evaluation (modified Lentz), with the symmetry swap
     I_x(a, b) = 1 - I_{1-x}(b, a) applied when x is past the convergence
-    crossover (a + 1) / (a + b + 2).
+    crossover (a + 1) / (a + b + 2). The swap needs 1 - x, which cancels
+    when x is near 1; a caller that can form it without cancelling passes
+    it as xc.
     """
-    if a <= 0.0 or b <= 0.0:
+    if not (a > 0.0 and b > 0.0):
         raise DomainError(f"betainc_regularized requires a, b > 0, got a={a}, b={b}")
-    if x < 0.0 or x > 1.0:
+    if not 0.0 <= x <= 1.0:
         raise DomainError(f"betainc_regularized requires x in [0, 1], got {x}")
     if x == 0.0:
         return 0.0
-    if x == 1.0:
-        return 1.0
-    if x > (a + 1.0) / (a + b + 2.0):
-        return 1.0 - betainc_regularized(b, a, 1.0 - x)
-    ln_front = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log1p(-x)
-    )
+    # x = 1 swaps even where the crossover rounds to 1 (b << a).
+    if x == 1.0 or x > (a + 1.0) / (a + b + 2.0):
+        if xc is None:
+            xc = 1.0 - x
+        elif not 0.0 <= xc <= 1.0:
+            raise DomainError(f"betainc_regularized requires xc in [0, 1], got {xc}")
+        return 1.0 if xc == 0.0 else 1.0 - _betainc_fraction(b, a, xc)
+    return _betainc_fraction(a, b, x)
+
+
+def _betainc_fraction(a: float, b: float, x: float) -> float:
+    """I_x(a, b) by its continued fraction, for 0 < x < 1 below the crossover."""
+    try:
+        ln_front = (
+            math.lgamma(a + b)
+            - math.lgamma(a)
+            - math.lgamma(b)
+            + a * math.log(x)
+            + b * math.log1p(-x)
+        )
+    except OverflowError:  # lgamma overflows past 2.6e305
+        raise ConvergenceError(
+            f"incomplete beta for a={a}, b={b} lies beyond floating-point range"
+        ) from None
     front = math.exp(ln_front)
 
     tiny = 1e-300
@@ -149,24 +165,37 @@ def betainc_regularized(a: float, b: float, x: float) -> float:
 
 
 def student_t_pdf(x: float, nu: float) -> float:
-    """Density of the Student-t distribution with nu degrees of freedom.
-
-    x^2 overflows past |x| = 1.3e154, so past |x| = _T_FAR the log kernel
-    ln(1 + x^2/nu) is taken as 2 ln|x| - ln nu + log1p(nu / x^2).
-    """
+    """Density of the Student-t distribution with nu degrees of freedom."""
     if not nu > 0.0:
         raise DomainError(f"student_t_pdf requires nu > 0, got {nu}")
-    ln_norm = (
-        math.lgamma(0.5 * (nu + 1.0))
-        - math.lgamma(0.5 * nu)
-        - 0.5 * math.log(nu * math.pi)
-    )
+    return math.exp(_student_t_ln_pdf(x, nu))
+
+
+def _student_t_ln_pdf(x: float, nu: float, ln_norm: float | None = None) -> float:
+    """ln of student_t_pdf(x, nu), finite wherever the density underflows.
+
+    ln_norm, the log density at 0, may be passed in by a caller that
+    evaluates many points at one nu. x^2 overflows past |x| = 1.3e154, so
+    past |x| = _T_FAR the log kernel ln(1 + x^2/nu) is taken as
+    2 ln|x| - ln nu + log1p(nu / x^2).
+    """
+    if ln_norm is None:
+        ln_norm = _student_t_ln_norm(nu)
     ax = abs(x)
     if ax > _T_FAR:
         ln_kernel = 2.0 * math.log(ax) - math.log(nu) + math.log1p(nu / ax / ax)
     else:
         ln_kernel = math.log1p(x * x / nu)
-    return math.exp(ln_norm - 0.5 * (nu + 1.0) * ln_kernel)
+    return ln_norm - 0.5 * (nu + 1.0) * ln_kernel
+
+
+def _student_t_ln_norm(nu: float) -> float:
+    """ln of the Student-t density at 0."""
+    return (
+        math.lgamma(0.5 * (nu + 1.0))
+        - math.lgamma(0.5 * nu)
+        - 0.5 * math.log(nu * math.pi)
+    )
 
 
 def student_t_cdf(x: float, nu: float) -> float:
@@ -174,6 +203,10 @@ def student_t_cdf(x: float, nu: float) -> float:
 
     Uses T_nu(x) = 1 - I_z(nu/2, 1/2) / 2 for x > 0 with z = nu / (nu + x^2),
     and symmetry for x < 0, so both tails are computed without cancellation.
+    Near the centre z is close to 1 and the incomplete beta swaps to
+    I_{1-z}(1/2, nu/2); 1 - z is passed as x^2 / (nu + x^2), since forming
+    it from z cancels when x^2 << nu (3e-11 relative at nu = 871.5,
+    x = -2.5e-4).
     x^2 overflows past |x| = 1.3e154 and nu / x^2 underflows further out: at
     nu = 1, x = -1e200 the computed z is 0, while T is 3.2e-201. So past
     |x| = _T_FAR, for nu < _T_FAR, the half tail is z^a / (2 a B(a, 1/2))
@@ -196,32 +229,36 @@ def student_t_cdf(x: float, nu: float) -> float:
         z_a = (math.sqrt(nu) / ax) ** nu * math.exp(-a * math.log1p(nu / ax / ax))
         half_tail = 0.5 * z_a * math.exp(-ln_beta) / a
     else:
-        z = nu / (nu + x * x)
-        half_tail = 0.5 * betainc_regularized(0.5 * nu, 0.5, z)
+        x2 = x * x
+        half_tail = 0.5 * betainc_regularized(0.5 * nu, 0.5, nu / (nu + x2), x2 / (nu + x2))
     return 1.0 - half_tail if x > 0.0 else half_tail
 
 
-def _betainc_array(a: float, b: float, x: np.ndarray) -> np.ndarray:
-    """betainc_regularized(a, b, t) at every t of an array x, bit for bit.
+def _betainc_array(a: float, b: float, x: np.ndarray, xc: np.ndarray) -> np.ndarray:
+    """betainc_regularized(a, b, t, tc) at every t of an array x, bit for bit.
 
-    Entries past the crossover take the swap I_x(a, b) = 1 - I_{1-x}(b, a),
-    and every entry then runs the scalar routine's modified-Lentz steps in
-    the same order, with its own (a, b). All entries stay in one loop at full
-    length: an entry that meets the stopping rule keeps the value it had
-    then, while the others go on. No array changes size, because numpy keeps
-    freed buffers under 1 KB in a cache keyed by exact size, and arrays that
-    shrank step by step would leave it holding megabytes. The front factor
-    goes through math's log, log1p and exp entry by entry: numpy's vector
-    versions can differ from them by an ulp, and a ln x reaches -700 in the
-    tails, where an ulp of it is 1e-13 of the result.
+    xc holds the complements tc = 1 - t, as the scalar routine's xc. Entries
+    past the crossover take the swap I_x(a, b) = 1 - I_{1-x}(b, a) on their
+    complement, and every entry then runs the scalar routine's modified-Lentz
+    steps in the same order, with its own (a, b). All entries stay in one
+    loop at full length: an entry that meets the stopping rule keeps the
+    value it had then, while the others go on. No array changes size,
+    because numpy keeps freed buffers under 1 KB in a cache keyed by exact
+    size, and arrays that shrank step by step would leave it holding
+    megabytes. The front factor goes through math's log, log1p and exp
+    entry by entry: numpy's vector versions can differ from them by an ulp,
+    and a ln x reaches -700 in the tails, where an ulp of it is 1e-13 of the
+    result.
     """
     import numpy as np
 
-    swap = x > (a + 1.0) / (a + b + 2.0)
-    # x = 0 and x = 1 stay inactive with value 0, which the swap turns into
-    # the scalar routine's 0 and 1; their placeholder 0.5 is never read.
-    active = (x > 0.0) & (x < 1.0)
-    xs = np.where(active, np.where(swap, 1.0 - x, x), 0.5)
+    swap = (x == 1.0) | (x > (a + 1.0) / (a + b + 2.0))
+    xs = np.where(swap, xc, x)
+    # x = 0 and a swapped xc = 0 stay inactive with value 0, which the swap
+    # turns into the scalar routine's 0 and 1; their placeholder 0.5 is never
+    # read. Entries below the crossover have x < 1.
+    active = xs > 0.0
+    xs = np.where(active, xs, 0.5)
     pairs = ((a, b), (b, a))  # an entry's (a, b), indexed by its swap flag
     lgamma, log, log1p, exp = math.lgamma, math.log, math.log1p, math.exp
     norm = [lgamma(p + q) - lgamma(p) - lgamma(q) for p, q in pairs]
@@ -290,12 +327,15 @@ def _student_t_cdf_array(x: np.ndarray, nu: float) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if np.isnan(x).any():
         raise DomainError("student_t_cdf got NaN argument")
-    # x = 0 gives z = 1, which _betainc_array maps to the scalar routine's 1.
-    # Entries past _T_FAR, infinities included, take the scalar routine.
+    # x = 0 gives z = 1 and 1 - z = 0, which _betainc_array maps to the
+    # scalar routine's 1. Entries past _T_FAR, infinities included, take the
+    # scalar routine; x^2 may overflow there, and its complement be NaN.
     far = np.abs(x) > _T_FAR
-    with np.errstate(over="ignore"):
-        z = nu / (nu + x * x)
-    half_tail = 0.5 * _betainc_array(0.5 * nu, 0.5, z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x2 = x * x
+        z = nu / (nu + x2)
+        w = x2 / (nu + x2)
+    half_tail = 0.5 * _betainc_array(0.5 * nu, 0.5, z, w)
     out = np.where(x > 0.0, 1.0 - half_tail, half_tail)
     if far.any():
         out[far] = [student_t_cdf(t, nu) for t in x[far].tolist()]
@@ -308,34 +348,70 @@ def _ln_t_tail_constant(nu: float) -> float:
     K = Gamma((nu+1)/2) nu^(nu/2 - 1) / (sqrt(pi) Gamma(nu/2)). The bound
     holds because the density is at most its power law: 1 + x^2/nu >= x^2/nu.
     """
-    return (
-        math.lgamma(0.5 * (nu + 1.0))
-        - math.lgamma(0.5 * nu)
-        + (0.5 * nu - 1.0) * math.log(nu)
-        - 0.5 * math.log(math.pi)
-    )
+    return _student_t_ln_norm(nu) + 0.5 * (nu - 1.0) * math.log(nu)
 
 
-# Plain Newton steps of student_t_quantile before it steps on ln T instead.
+# Halley steps of student_t_quantile before, on the side where T_nu > p, it
+# takes Newton steps on ln T_nu instead.
 _T_QUANTILE_STEPS = 120
 
 
+def _t_quantile_start(p: float, nu: float, x0: float) -> float:
+    """Starting point of student_t_quantile for p < 0.5, inside [x0, 0).
+
+    Two expansions compete, each judged by its own next term. The tail
+    bound x0 = -(K / p)^(1/nu) inverts the leading term of
+    T_nu(x) = K |x|^-nu (1 - nu^2 (nu+1) / (2 (nu+2) x^2) + O(x^-4)); the
+    second term moves it to x0 (1 - delta), delta = nu (nu+1) / (2 (nu+2) x0^2),
+    so x0 is off by about delta |x0|. The Cornish-Fisher expansion about the
+    normal quantile z, z + g1(z)/nu + ... + g4(z)/nu^4 (Abramowitz & Stegun
+    26.7.5), is off by about its last term. The one with the smaller error
+    wins: Cornish-Fisher at large nu and moderate p, the corrected tail bound
+    at small nu or small p. The normal quantile comes from the standard
+    library's statistics module, imported here so that importing tailpath
+    does not load it.
+    """
+    from statistics import NormalDist
+
+    delta = nu * (nu + 1.0) / (2.0 * (nu + 2.0) * x0 * x0)
+    z = NormalDist().inv_cdf(p)
+    z2 = z * z
+    g4 = ((((79.0 * z2 + 776.0) * z2 + 1482.0) * z2 - 1920.0) * z2 - 945.0) * z / 92160.0
+    if abs(g4) / nu / nu / nu / nu < -delta * x0:
+        g1 = (z2 + 1.0) * z / 4.0
+        g2 = ((5.0 * z2 + 16.0) * z2 + 3.0) * z / 96.0
+        g3 = (((3.0 * z2 + 19.0) * z2 + 17.0) * z2 - 15.0) * z / 384.0
+        x = z + (g1 + (g2 + (g3 + g4 / nu) / nu) / nu) / nu
+        if x0 < x < 0.0:
+            return x
+    return x0 * (1.0 - delta) if delta < 0.5 else x0
+
+
+def _over_exp(g: float, ln_d: float) -> float:
+    """g / exp(ln_d) for g != 0, formed in logs and capped at e^709 in size."""
+    return math.copysign(math.exp(min(math.log(abs(g)) - ln_d, 709.0)), g)
+
+
 def student_t_quantile(p: float, nu: float) -> float:
-    """Inverse of student_t_cdf: Newton iteration with a bisection safeguard.
+    """Inverse of student_t_cdf: Halley iteration with a bisection safeguard.
 
     Upper-half probabilities are mirrored, q(p) = -q(1 - p), which is exact
     because 1 - p is. A lower-half root is bracketed by [x0, 0], where
     x0 = -(K / p)^(1/nu) inverts the power-law tail bound T_nu(x) <= K |x|^-nu
-    (_ln_t_tail_constant). Newton starts at x0; the bound is tight in the
-    far tail, which is where the copula cdf asks for quantiles.
+    (_ln_t_tail_constant). The iteration starts at _t_quantile_start and
+    takes Halley steps on f = T_nu - p: with r = f / t_nu(x) and
+    f'' / f' = -(nu+1) / (x + nu/x), a form that does not square x, the
+    step is r / (1 + r (nu+1) / (2 (x + nu/x))), or the Newton step r when
+    that denominator is at most 1/2. r is formed from the log density, so
+    it stays finite where the density underflows (|x| past 1e130 at
+    nu = 1.5). It stops when a step moves x by at most 1e-14 relative. Over
+    p log-uniform on [3.7e-6, 0.27] and nu log-uniform on [1, 50], half of
+    them integers, it takes 2.4 student_t_cdf calls per quantile on average.
 
-    Where it is not tight (large nu, tiny p), the iterate can land far on
-    the side where T_nu(x) >> p, and from there each Newton step on T_nu
-    moves by about one Mills ratio and shrinks T_nu - p only by 1/e (at
-    p = 1e-150, nu = 1000: 0.067 per step from x = -22.2, with the root at
-    -31.6). So after _T_QUANTILE_STEPS steps the iteration steps on
-    ln T_nu - ln p instead, on that side. Every quantile that the plain
-    iteration finds within those steps is returned exactly as it finds it.
+    Where the iterate lies far on the side where T_nu(x) >> p (large nu,
+    tiny p), each step on T_nu moves by about one Mills ratio and shrinks
+    T_nu - p only by a constant factor. So after _T_QUANTILE_STEPS steps the
+    iteration takes Newton steps on ln T_nu - ln p instead, on that side.
     """
     if not nu > 0.0:
         raise DomainError(f"student_t_quantile requires nu > 0, got {nu}")
@@ -351,8 +427,9 @@ def student_t_quantile(p: float, nu: float) -> float:
             f"t quantile for p={p}, nu={nu} lies beyond floating-point range"
         )
     lo, hi = -math.exp(ln_mag), 0.0
+    ln_norm = _student_t_ln_norm(nu)
 
-    x = lo
+    x = _t_quantile_start(p, nu, lo)
     for k in range(2 * _T_QUANTILE_STEPS):
         t = student_t_cdf(x, nu)
         f = t - p
@@ -362,17 +439,21 @@ def student_t_quantile(p: float, nu: float) -> float:
             lo = x
         else:
             return x
-        df = student_t_pdf(x, nu)
-        step_ok = df > 0.0
-        if step_ok:
-            if f > 0.0 and k >= _T_QUANTILE_STEPS:
-                x_new = x - t * math.log(t / p) / df
-            else:
-                x_new = x - f / df
-            step_ok = lo < x_new < hi
-        if not step_ok:
+        ln_df = _student_t_ln_pdf(x, nu, ln_norm)
+        if f > 0.0 and k >= _T_QUANTILE_STEPS:
+            # Newton on ln T_nu - ln p, whose step is T_nu ln(T_nu / p) / t_nu.
+            x_new = x - _over_exp(t * math.log(t / p), ln_df)
+        else:
+            r = _over_exp(f, ln_df)
+            halley = 1.0 + 0.5 * r * (nu + 1.0) / (x + nu / x)
+            x_new = x - (r / halley if halley > 0.5 else r)
+        # A converged step is kept even where it leaves the bracket: below
+        # half an ulp it rounds onto x, which may be an end of the bracket.
+        converged = abs(x_new - x) <= 1e-14 * max(1.0, abs(x_new))
+        if not (converged or lo < x_new < hi):
             x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) <= 1e-14 * max(1.0, abs(x_new)):
+            converged = abs(x_new - x) <= 1e-14 * max(1.0, abs(x_new))
+        if converged:
             return x_new
         x = x_new
     raise ConvergenceError(f"t quantile iteration stalled for p={p}, nu={nu}")

@@ -286,6 +286,14 @@ class TestStudentTRoutes:
         lam = tail_copula_tev(nu, rho, 1.0, 1.0)
         assert StudentT(nu, rho).cdf(u, u) / (u * lam) == pytest.approx(1.0, abs=1e-3)
 
+    @pytest.mark.parametrize("nu, rho", [(1.5, 0.5), (4.5, 0.9)])
+    @pytest.mark.parametrize("u", [1e-200, 1e-300])
+    def test_deeper_tail_keeps_the_density_in_logs(self, nu, rho, u):
+        # Here the density at the first quantile underflows while sigma times
+        # it, about u, does not. A front formed from the density read 0.0.
+        lam = tail_copula_tev(nu, rho, 1.0, 1.0)
+        assert StudentT(nu, rho).cdf(u, u) / (u * lam) == pytest.approx(1.0, abs=1e-3)
+
     @pytest.mark.parametrize(
         "nu, route",
         [

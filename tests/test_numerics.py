@@ -134,6 +134,76 @@ class TestStudentT:
         assert len(calls) <= 4
         assert student_t_cdf(q, 0.3) == pytest.approx(1e-61, rel=1e-13)
 
+    # student_t_cdf calls per nu over the 15 levels of test_quantile_cdf_calls,
+    # as the Newton iteration from the tail bound took them before the Halley
+    # iteration replaced it.
+    NEWTON_CDF_CALLS = {
+        1.0: 48, 1.5: 56, 2.0: 62, 3.0: 76, 4.0: 146, 4.5: 84,
+        7.0: 145, 10.0: 191, 15.5: 237, 20.0: 143, 30.0: 180, 50.0: 209,
+    }
+
+    def test_quantile_cdf_calls(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            numerics, "student_t_cdf", lambda x, nu: calls.append(x) or student_t_cdf(x, nu)
+        )
+        ps = np.logspace(np.log10(3.7e-6), np.log10(0.27), 15)
+        for nu, newton_calls in self.NEWTON_CDF_CALLS.items():
+            before = len(calls)
+            for p in ps:
+                student_t_quantile(float(p), nu)
+            assert len(calls) - before <= newton_calls, nu
+        assert len(calls) <= 3 * len(ps) * len(self.NEWTON_CDF_CALLS)
+
+    def test_quantile_steps_where_the_density_underflows(self, monkeypatch):
+        # t_nu(q) underflows at q = -1.1e133; before the steps were formed from
+        # the log density, every step there bisected (47 cdf calls).
+        calls = []
+        monkeypatch.setattr(
+            numerics, "student_t_cdf", lambda x, nu: calls.append(x) or student_t_cdf(x, nu)
+        )
+        q = student_t_quantile(1e-200, 1.5)
+        assert len(calls) <= 4
+        assert student_t_cdf(q, 1.5) == pytest.approx(1e-200, rel=1e-13)
+
+    def test_halley_denominator_guard(self, monkeypatch):
+        # The Cauchy quantile is -1 / tan(pi p).
+        want = -1.0 / math.tan(math.pi * 1e-300)
+        assert student_t_quantile(1e-300, 1.0) == pytest.approx(want, rel=1e-13)
+        # Started at x0 / 4, right of the root in the Cauchy tail, the Halley
+        # denominator is 1/4, at or below the 1/2 where Newton's step is taken.
+        monkeypatch.setattr(numerics, "_t_quantile_start", lambda p, nu, x0: 0.25 * x0)
+        assert student_t_quantile(1e-300, 1.0) == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize(
+        "x, nu, want",
+        [  # 40-digit mpmath
+            (-1e-3, 200.0, 0.49960155615056941532),
+            (-2.5e-4, 200.0, 0.49990038902200031981),
+            (1e-8, 200.0, 0.5000000039844391617),
+            (-1e-3, 871.5, 0.49960117221098197286),
+            (-2.5e-4, 871.5, 0.49990029303714840628),
+            (1e-8, 871.5, 0.50000000398827855566),
+            (-1e-3, 1000.0, 0.49960115750922636514),
+            (-2.5e-4, 1000.0, 0.49990028936171122659),
+            (1e-8, 1000.0, 0.50000000398842557314),
+        ],
+    )
+    def test_cdf_keeps_digits_near_centre(self, x, nu, want):
+        # The swapped incomplete beta gets 1 - z as x^2 / (nu + x^2); formed
+        # from z = nu / (nu + x^2) it cancelled, to 3e-11 relative at
+        # nu = 871.5, x = -2.5e-4 and 8e-9 at x = 1e-8.
+        assert student_t_cdf(x, nu) == pytest.approx(want, rel=1e-15, abs=0.0)
+        assert _student_t_cdf_array(np.array([x]), nu)[0] == student_t_cdf(x, nu)
+
+    @pytest.mark.parametrize("nu", [1e17, 1e20])
+    def test_cdf_where_the_crossover_rounds_to_one(self, nu):
+        # (a + 1) / (a + 2.5) rounds to 1 at a = nu / 2, so z = 1 has to take
+        # the swapped branch; the continued fraction cannot take x = 1.
+        value = student_t_cdf(0.3, nu)
+        assert 0.5 <= value <= 1.0
+        assert _student_t_cdf_array(np.array([0.3]), nu)[0] == value
+
     def test_quantile_beyond_float_range_raises(self):
         with pytest.raises(ConvergenceError):
             student_t_quantile(1e-300, 0.3)
