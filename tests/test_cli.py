@@ -156,6 +156,19 @@ class TestExitCodes:
         assert "tailpath: --" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("command", ["path", "sample", "spectral", "mtcm"])
+    def test_huge_nu_is_an_error_not_a_traceback(self, command, tmp_path):
+        # lgamma overflows past nu = 5.1e305; path, sample and spectral ended
+        # in a bare OverflowError there.
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tailpath.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "tailpath.cli", command, "--model", "t:nu=1e306,rho=0.5",
+             "--out", str(tmp_path)],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode in (2, 3), proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 2
         capsys.readouterr()

@@ -20,7 +20,12 @@ from tailpath.copulas import (
     survival,
 )
 from tailpath.errors import DomainError, TailPathError
-from tailpath.numerics import integrate_adaptive, student_t_pdf
+from tailpath.numerics import (
+    integrate_adaptive,
+    student_t_cdf,
+    student_t_pdf,
+    student_t_quantile,
+)
 from tailpath.tailcopula import analytic_tail_copula, mtcm, tail_copula_tev
 
 ALL_MODELS = [
@@ -240,7 +245,89 @@ class TestStudentTCopula:
         assert survival(m).cdf(8.8e-10, 5.5e-12) >= 0.0
 
 
+def _dunnett_sobel_reference(nu, rho, h, k):
+    """The Dunnett-Sobel sum as it was written with int counters.
+
+    copulas._t_cdf_dunnett_sobel does the same IEEE operations in the same
+    order with float counters, so the two must agree bit for bit.
+    """
+    if 1.0 - rho <= 1e-15:
+        return student_t_cdf(min(h, k), nu)
+    if rho + 1.0 <= 1e-15:
+        return max(student_t_cdf(h, nu) - student_t_cdf(-k, nu), 0.0)
+    ors = (1.0 - rho) * (1.0 + rho)
+    snu = math.sqrt(nu)
+    rh, rk = math.hypot(snu, h), math.hypot(snu, k)  # sqrt(nu + h^2), sqrt(nu + k^2)
+    # xnkh = (k - rho h)^2 / ((k - rho h)^2 + ors (nu + h^2)) and its mirror
+    # xnhk, held as the legs sin/cos of an angle so 1 - xnkh keeps its digits.
+    krh, hrk = k - rho * h, h - rho * k
+    skh, shk = math.sqrt(ors) * rh, math.sqrt(ors) * rk
+    nkh, nhk = math.hypot(krh, skh), math.hypot(hrk, shk)
+    sin_kh, cos_kh = abs(krh) / nkh, skh / nkh
+    sin_hk, cos_hk = abs(hrk) / nhk, shk / nhk
+    ks, hs = math.copysign(1.0, krh), math.copysign(1.0, hrk)
+    xnkh_c, xnhk_c = cos_kh * cos_kh, cos_hk * cos_hk  # 1 - xnkh, 1 - xnhk
+    qh, qk = (snu / rh) ** 2, (snu / rk) ** 2  # 1 / (1 + h^2 / nu)
+    if nu % 2 == 0:
+        bvt = math.atan2(math.sqrt(ors), -rho) / (2.0 * math.pi)
+        gmph, gmpk = h / (4.0 * rh), k / (4.0 * rk)
+        btnckh = 2.0 * math.atan2(sin_kh, cos_kh) / math.pi
+        btpdkh = 2.0 * sin_kh * cos_kh / math.pi
+        btnchk = 2.0 * math.atan2(sin_hk, cos_hk) / math.pi
+        btpdhk = 2.0 * sin_hk * cos_hk / math.pi
+        for j in range(1, nu // 2 + 1):
+            bvt += gmph * (1.0 + ks * btnckh)
+            bvt += gmpk * (1.0 + hs * btnchk)
+            btnckh += btpdkh
+            btpdkh *= 2 * j * xnkh_c / (2 * j + 1)
+            btnchk += btpdhk
+            btpdhk *= 2 * j * xnhk_c / (2 * j + 1)
+            gmph *= (2 * j - 1) * qh / (2 * j)
+            gmpk *= (2 * j - 1) * qk / (2 * j)
+    else:
+        scale = max(1.0, abs(h), abs(k))
+        hh, kk, nn = h / scale, k / scale, nu / scale / scale
+        qhrk = math.sqrt(hh * hh + kk * kk - 2.0 * rho * hh * kk + nn * ors)
+        hkrn = hh * kk + rho * nn
+        hkn = hh * kk - nn
+        hpk = hh + kk
+        bvt = math.atan2(
+            -math.sqrt(nn) * (hkn * qhrk + hpk * hkrn), hkn * hkrn - nn * hpk * qhrk
+        ) / (2.0 * math.pi)
+        if bvt < -1e-15:
+            bvt += 1.0
+        gmph = (h / rh) * (snu / rh) / (2.0 * math.pi)
+        gmpk = (k / rk) * (snu / rk) / (2.0 * math.pi)
+        btnckh = btpdkh = sin_kh
+        btnchk = btpdhk = sin_hk
+        for j in range(1, (nu - 1) // 2 + 1):
+            bvt += gmph * (1.0 + ks * btnckh)
+            bvt += gmpk * (1.0 + hs * btnchk)
+            btpdkh *= (2 * j - 1) * xnkh_c / (2 * j)
+            btnckh += btpdkh
+            btpdhk *= (2 * j - 1) * xnhk_c / (2 * j)
+            btnchk += btpdhk
+            gmph *= 2 * j * qh / (2 * j + 1)
+            gmpk *= 2 * j * qk / (2 * j + 1)
+    return bvt
+
+
 class TestStudentTRoutes:
+    def test_dunnett_sobel_matches_the_loop_reference_bit_for_bit(self):
+        # nu = 1 .. 60 of both parities, rho out to 1 - 1e-12 either way, and
+        # quantiles from the centre out to p = 1e-300 on either side.
+        rng = np.random.default_rng(15)
+        rhos = [-(1.0 - 1e-12), -0.99, -0.5, 0.0, 0.5, 0.99, 1.0 - 1e-12]
+        ps = [1e-300, 1e-100, 1e-20, 3.7e-6, 0.3, 0.5, 0.9, 1.0 - 1e-16]
+        for nu in range(1, 61):
+            for rho in [*rhos, *rng.uniform(-1.0, 1.0, 3).tolist()]:
+                far = (10.0 ** rng.uniform(-300.0, 0.0, (4, 2))).tolist()
+                for p, q in [*zip(ps, ps[::-1]), *far]:
+                    h, k = student_t_quantile(p, nu), student_t_quantile(q, nu)
+                    want = _dunnett_sobel_reference(nu, rho, h, k)
+                    got = tailpath.copulas._t_cdf_dunnett_sobel(nu, rho, h, k)
+                    assert got == want, (nu, rho, h, k)
+
     @pytest.mark.parametrize("nu", [1, 2, 3, 4, 7])
     @pytest.mark.parametrize("rho", [-0.9, -0.3, 0.95])
     def test_closed_form_against_scipy(self, nu, rho):

@@ -7,7 +7,8 @@ import scipy.special
 import scipy.stats
 
 from tailpath import numerics
-from tailpath.errors import BracketError, ConvergenceError, DomainError
+from tailpath.copulas import StudentT
+from tailpath.errors import BracketError, ConvergenceError, DomainError, TailPathError
 from tailpath.numerics import (
     aitken_limit,
     betainc_regularized,
@@ -22,7 +23,7 @@ from tailpath.numerics import (
     _student_t_cdf_array,
 )
 from tailpath.singular import log_gap
-from tailpath.spectral import SpectralModel
+from tailpath.spectral import SpectralModel, spectral_tail_copula
 from tailpath.tailcopula import tail_copula_tev
 
 
@@ -250,11 +251,100 @@ class TestStudentT:
         with pytest.raises(DomainError):
             call(math.nan)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: student_t_pdf(0.3, 1e306),
+            lambda: student_t_quantile(0.3, 1e306),
+            lambda: StudentT(1e306, 0.5).cdf(0.3, 0.4),
+            lambda: StudentT(1e306, 0.5).sample(10, seed=1),
+            lambda: spectral_tail_copula(SpectralModel(1e306, 0.5), 1.0, 1.0),
+            lambda: tail_copula_tev(1e306, 0.5, 1.0, 1.0),
+        ],
+        ids=["pdf", "quantile", "copula_cdf", "sample", "spectral", "tail_copula_tev"],
+    )
+    def test_huge_nu_raises_tailpath_error(self, call):
+        # lgamma overflows past nu = 5.1e305; that raised a bare OverflowError.
+        with pytest.raises(TailPathError):
+            call()
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             student_t_cdf(0.0, -1.0)
         with pytest.raises(DomainError):
             student_t_quantile(0.0, 4.0)
+
+
+def _betainc_fraction_reference(a, b, x):
+    """The modified-Lentz loop as it was written with an int counter and abs guards.
+
+    numerics._betainc_fraction does the same IEEE operations in the same
+    order with a float counter and chained comparisons, so the two must agree
+    bit for bit.
+    """
+    try:
+        ln_front = (
+            math.lgamma(a + b)
+            - math.lgamma(a)
+            - math.lgamma(b)
+            + a * math.log(x)
+            + b * math.log1p(-x)
+        )
+    except OverflowError:  # lgamma overflows past 2.6e305
+        raise ConvergenceError(
+            f"incomplete beta for a={a}, b={b} lies beyond floating-point range"
+        ) from None
+    front = math.exp(ln_front)
+
+    tiny = 1e-300
+    c = 1.0
+    d = 1.0 - (a + b) * x / (a + 1.0)
+    if abs(d) < tiny:
+        d = tiny
+    d = 1.0 / d
+    h = d
+    for m in range(1, 300):
+        m2 = 2 * m
+        # even step
+        num = m * (b - m) * x / ((a + m2 - 1.0) * (a + m2))
+        d = 1.0 + num * d
+        if abs(d) < tiny:
+            d = tiny
+        c = 1.0 + num / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        h *= d * c
+        # odd step
+        num = -(a + m) * (a + b + m) * x / ((a + m2) * (a + m2 + 1.0))
+        d = 1.0 + num * d
+        if abs(d) < tiny:
+            d = tiny
+        c = 1.0 + num / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < 1e-16:
+            return front * h / a
+    raise ConvergenceError(
+        f"incomplete beta continued fraction stalled for a={a}, b={b}, x={x}"
+    )
+
+
+def _betainc_fraction_grid():
+    """Seeded (a, b, x) triples: each (a, b) pair also swapped, x up to the crossover."""
+    rng = np.random.default_rng(15)
+    pairs = [(1.0, 3.0, 0.5)]  # d = 1 - (a + b) x / (a + 1) is exactly 0: the first guard
+    for _ in range(250):
+        nu = float(rng.choice([rng.integers(1, 61), rng.uniform(0.3, 1000.0)]))
+        a, b = (10.0 ** rng.uniform(-1.3, math.log10(500.0), 2)).tolist()
+        for p, q in ((a, b), (b, a), (0.5 * nu, 0.5), (0.5, 0.5 * nu)):
+            cross = (p + 1.0) / (p + q + 2.0)
+            x_small = cross * 10.0 ** float(rng.uniform(-300.0, 0.0))
+            pairs += [(p, q, cross), (p, q, x_small)]
+    return pairs
 
 
 class TestBetainc:
@@ -264,6 +354,13 @@ class TestBetainc:
                 assert betainc_regularized(a, b, x) == pytest.approx(
                     scipy.special.betainc(a, b, x), abs=1e-13
                 )
+
+    def test_fraction_matches_the_loop_reference_bit_for_bit(self):
+        grid = _betainc_fraction_grid()
+        assert len(grid) > 2000
+        for a, b, x in grid:
+            want = _betainc_fraction_reference(a, b, x)
+            assert numerics._betainc_fraction(a, b, x) == want, (a, b, x)
 
 
 class TestIntegrateAdaptive:
