@@ -82,8 +82,9 @@ def parse_model(spec: str) -> Copula:
 
     A `surv-` prefix composes the survival transform with any base spec
     (`smo` and `sag` are shorthands that arrive pre-composed, so
-    `surv-smo:...` denotes the plain Marshall-Olkin model again). The t
-    copula is its own survival copula, so `surv-t:...` is `t:...`.
+    `surv-smo:...` denotes the plain Marshall-Olkin model again). The
+    independence, comonotone, FGM and t copulas are their own survival
+    copulas, so `surv-fgm:...` is `fgm:...`, and likewise for the others.
     """
     text = spec.strip()
     if text.startswith("surv-"):

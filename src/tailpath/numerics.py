@@ -445,10 +445,15 @@ def student_t_quantile(p: float, nu: float) -> float:
         raise ConvergenceError(
             f"t quantile for p={p}, nu={nu} lies beyond floating-point range"
         )
-    lo, hi = -math.exp(ln_mag), 0.0
+    # exp rounds x0 = -e^ln_mag by up to ~1e-13 relative near ln_mag = 700,
+    # which can put x0 on the wrong side of the root (p = 1e-300, nu = 1),
+    # so the bracket end lo reaches 8 ulps of ln_mag further out; the start
+    # stays at x0.
+    x0 = -math.exp(ln_mag)
+    lo, hi = -math.exp(ln_mag + 8.0 * math.ulp(ln_mag)), 0.0
     ln_norm = _student_t_ln_norm(nu)
 
-    x = _t_quantile_start(p, nu, lo)
+    x = _t_quantile_start(p, nu, x0)
     for k in range(2 * _T_QUANTILE_STEPS):
         t = student_t_cdf(x, nu)
         f = t - p

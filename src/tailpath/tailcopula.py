@@ -196,8 +196,8 @@ def analytic_tail_copula(model: Copula) -> Callable[[float, float], float]:
     lower tails vanish) map to tail_copula_zero so that the MTCM solver can
     diagnose them uniformly. Independence, FGM, comonotone and Student-t are
     radially symmetric, so their survival models share the tail;
-    survival() returns a StudentT unchanged, and only an explicitly built
-    Survival(StudentT) reaches the shared branch here. Every returned form
+    survival() returns them unchanged, and only an explicitly built
+    Survival of one of them reaches the shared branch here. Every returned form
     raises DomainError unless x and y are finite and nonnegative.
     """
     surv = isinstance(model, Survival)

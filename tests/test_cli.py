@@ -10,7 +10,7 @@ import pytest
 import tailpath
 from tailpath.cli import ConfigError, main, parse_model, parse_schedule
 from tailpath.copulas import (
-    FGM,
+    AsymGumbel,
     Independence,
     MarshallOlkin,
     StudentT,
@@ -36,9 +36,23 @@ class TestParseModel:
         assert (model.base.alpha, model.base.beta) == (0.35, 0.7)
 
     def test_surv_prefix(self):
-        model = parse_model("surv-fgm:theta=-1")
+        model = parse_model("surv-ag:alpha=0.35,beta=0.7,theta=2")
         assert isinstance(model, Survival)
-        assert isinstance(model.base, FGM)
+        assert isinstance(model.base, AsymGumbel)
+
+    @pytest.mark.parametrize(
+        "spec, want",
+        [
+            ("surv-indep", "indep"),
+            ("surv-comono", "comono"),
+            ("surv-fgm:theta=-1", "fgm:theta=-1"),
+            ("surv-t:nu=4,rho=0.5", "t:nu=4,rho=0.5"),
+        ],
+    )
+    def test_surv_of_radially_symmetric_family_is_the_family(self, spec, want):
+        model = parse_model(spec)
+        assert not isinstance(model, Survival)
+        assert model.spec() == want
 
     def test_surv_smo_unwraps_to_plain_mo(self):
         # survival of survival is the identity, so surv-smo is just mo

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import tailpath.copulas
 from tailpath.copulas import (
     AsymGumbel,
     Comonotone,
+    Copula,
     FGM,
     Independence,
     MarshallOlkin,
@@ -117,6 +119,124 @@ class TestClosedFormValues:
         assert m.cdf(0.4, 1.0) == 0.4
         assert m.cdf(1.0, 0.8) == 0.8
         assert m.cdf(0.0, 0.7) == 0.0
+
+
+def _smo_reference(alpha, beta, u, v):
+    """Survival MO cdf u + v - 1 + C(1-u, 1-v) in 60-digit decimal arithmetic.
+
+    Every input is a float, so it converts exactly; at u, v >= 1e-10 the
+    formula cancels at most ~20 digits, which leaves about 40.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        one = Decimal(1)
+        u, v, a, b = Decimal(u), Decimal(v), Decimal(alpha), Decimal(beta)
+        base = min((one - u) ** (one - a) * (one - v), (one - u) * (one - v) ** (one - b))
+        return u + v - one + base
+
+
+def _sag_reference(alpha, beta, theta, u, v):
+    """Survival asymmetric Gumbel cdf in 60-digit decimal arithmetic.
+
+    C(1-u, 1-v) = (1-u)^(1-alpha) (1-v)^(1-beta) exp(-((alpha lu)^theta +
+    (beta lv)^theta)^(1/theta)), lu = -ln(1-u) and lv = -ln(1-v): the
+    Pickands form exp(ln(uv) A(w)) expanded.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        one = Decimal(1)
+        u, v = Decimal(u), Decimal(v)
+        a, b, t = Decimal(alpha), Decimal(beta), Decimal(theta)
+        lu, lv = -(one - u).ln(), -(one - v).ln()
+        norm = ((a * lu) ** t + (b * lv) ** t) ** (one / t)
+        return u + v - one + (-(one - a) * lu - (one - b) * lv - norm).exp()
+
+
+# u, v log-spaced over [1e-10, 0.99], plus the asymmetric corners.
+_SURVIVAL_GRID = [
+    (float(u), float(v))
+    for u in np.geomspace(1e-10, 0.99, 11)
+    for v in np.geomspace(1e-10, 0.99, 11)
+] + [(1e-10, 0.08), (0.08, 1e-10)]
+
+_SMO_PARAMS = [(0.35, 0.7), (0.05, 1.0), (1.0, 0.05), (1.0, 1.0), (1e-7, 1.0)]
+_SAG_PARAMS = [
+    (0.35, 0.7, 2.0),
+    (0.05, 1.0, 1.05),
+    (1.0, 0.05, 50.0),
+    (0.5, 0.5, 500.0),
+    (0.35, 0.7, 200.0),
+    (0.9, 0.3, 1.5),
+]
+
+
+class TestSurvivalKernels:
+    @pytest.mark.parametrize("alpha, beta", _SMO_PARAMS)
+    def test_smo_against_decimal_reference(self, alpha, beta):
+        # u + v - 1 + C(1-u, 1-v) in floats was off by up to 1.2 relative here
+        # (at alpha = 1e-7).
+        model = survival(MarshallOlkin(alpha, beta))
+        for u, v in _SURVIVAL_GRID:
+            want = _smo_reference(alpha, beta, u, v)
+            assert abs(Decimal(model.cdf(u, v)) - want) <= Decimal("1e-13") * want
+
+    @pytest.mark.parametrize("alpha, beta, theta", _SAG_PARAMS)
+    def test_sag_against_decimal_reference(self, alpha, beta, theta):
+        # u + v - 1 + C(1-u, 1-v) in floats was off by up to 5.1e-5 relative here.
+        model = survival(AsymGumbel(alpha, beta, theta))
+        for u, v in _SURVIVAL_GRID:
+            want = _sag_reference(alpha, beta, theta, u, v)
+            assert abs(Decimal(model.cdf(u, v)) - want) <= Decimal("1e-13") * want
+
+    @pytest.mark.parametrize(
+        "model",
+        [survival(MarshallOlkin(a, b)) for a, b in _SMO_PARAMS]
+        + [survival(AsymGumbel(a, b, t)) for a, b, t in _SAG_PARAMS],
+        ids=model_id,
+    )
+    def test_frechet_bounds_and_edges(self, model):
+        grid = [0.0, 1e-300, 1e-10, 0.08, 0.5, 0.99, 1.0 - 2.0 ** -53, 1.0]
+        for u in grid:
+            for v in grid:
+                c = model.cdf(u, v)
+                assert max(u + v - 1.0, 0.0) - 1e-16 <= c <= min(u, v)
+            # The margins are exact at the edges of the square.
+            assert model.cdf(u, 0.0) == 0.0
+            assert model.cdf(0.0, u) == 0.0
+            assert model.cdf(u, 1.0) == u
+            assert model.cdf(1.0, u) == u
+
+    def test_generic_default_for_other_families(self):
+        class _Clayton(Copula):
+            def __init__(self, theta):
+                self.theta = theta
+
+            def cdf(self, u, v):
+                if u == 0.0 or v == 0.0:
+                    return 0.0
+                return (u ** -self.theta + v ** -self.theta - 1.0) ** (-1.0 / self.theta)
+
+            def spec(self):
+                return f"clayton:theta={self.theta:g}"
+
+        base = _Clayton(2.0)
+        model = survival(base)
+        assert isinstance(model, Survival) and model.base is base
+        for u, v in ((0.9, 0.9), (0.2, 0.7), (0.0, 0.4), (1.0, 0.3)):
+            assert model.cdf(u, v) == u + v - 1.0 + base.cdf(1.0 - u, 1.0 - v)
+        with pytest.raises(DomainError):
+            model.cdf(1.5, 0.5)
+
+    @pytest.mark.parametrize(
+        "model", [Independence(), Comonotone(), FGM(-1.0), FGM(0.6)], ids=model_id
+    )
+    def test_radially_symmetric_families_are_their_own_survival(self, model):
+        assert survival(model) is model
+
+    def test_fgm_keeps_its_far_lower_tail(self):
+        # Through u + v - 1 + C(1-u, 1-v) this read 0.0.
+        c = survival(FGM(0.6)).cdf(1e-8, 1e-8)
+        assert c == pytest.approx(1e-16 * (1.0 + 0.6 * (1.0 - 1e-8) ** 2), rel=1e-15)
 
 
 class TestParameterValidation:

@@ -176,6 +176,20 @@ class TestStudentT:
         monkeypatch.setattr(numerics, "_t_quantile_start", lambda p, nu, x0: 0.25 * x0)
         assert student_t_quantile(1e-300, 1.0) == pytest.approx(want, rel=1e-13)
 
+    def test_lower_bracket_end_crosses_the_rounding_of_exp(self):
+        # At p = 1e-300, nu = 1, exp rounds the tail-bound end x0 to the side
+        # of the root where T_1 - p > 0; the bracket once closed on x0, 3.9e-14
+        # off. The Cauchy quantile -1 / tan(pi p) is -1 / (pi p) to far below
+        # an ulp here, taken with a 40-digit pi.
+        from decimal import Decimal, localcontext
+
+        with localcontext() as ctx:
+            ctx.prec = 40
+            pi = Decimal("3.141592653589793238462643383279502884197")
+            want = -1 / (pi * Decimal(1e-300))
+            got = Decimal(student_t_quantile(1e-300, 1.0))
+            assert abs(got - want) <= Decimal("1e-15") * abs(want)
+
     @pytest.mark.parametrize(
         "x, nu, want",
         [  # 40-digit mpmath
