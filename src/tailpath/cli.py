@@ -14,6 +14,7 @@ import argparse
 import contextlib
 import functools
 import json
+import math
 import os
 import sys
 from typing import Sequence
@@ -176,10 +177,13 @@ def _mo_params(model: Copula) -> tuple[float, float]:
 
 
 def _emit_profile(model: Copula, out: str, prefix: str, fmt: str) -> MtcmResult:
+    tail = analytic_tail_copula(model)
     with _op(f"mtcm solve for {model.spec()}"):
-        result = mtcm(analytic_tail_copula(model))
-    # The grid mtcm searched, so the table and the chart contain b*.
-    curve = result.profile_samples
+        result = mtcm(tail)
+    # 511 log-uniform b over the domain |ln b| <= -ln Lambda(1, 1) (at least 1), and b*.
+    s_max = max(-math.log(tail(1.0, 1.0)), 1.0)
+    bs = map(math.exp, _linspace(-s_max, s_max, 511))
+    curve = sorted([(b, tail(b, 1.0 / b)) for b in bs] + [(result.b_star, result.lambda_star)])
     write_csv(os.path.join(out, f"{prefix}profile.csv"), ("b", "lambda_profile"), curve)
     write_json(os.path.join(out, f"{prefix}mtcm.json"), result.to_json_dict())
     if fmt == "svg":
@@ -223,6 +227,7 @@ def _emit_path(
                 "b_limit": path.b_limit,
                 "b_err": path.b_err,
                 "failures": [list(f) for f in path.failures],
+                "slice_converged": [p.converged for p in path.points],
             },
         )
     if fmt == "svg":

@@ -85,6 +85,8 @@ class Independence(Copula):
         _check_unit_pair(u, v)
         return u * v
 
+    _survival_cdf = cdf  # radially symmetric: its own survival copula
+
     def sample(self, n: int, seed: int | None = None) -> np.ndarray:
         import numpy as np
 
@@ -101,6 +103,8 @@ class Comonotone(Copula):
     def cdf(self, u: float, v: float) -> float:
         _check_unit_pair(u, v)
         return v if v < u else u  # min(u, v); see MarshallOlkin.cdf
+
+    _survival_cdf = cdf  # radially symmetric: its own survival copula
 
     def sample(self, n: int, seed: int | None = None) -> np.ndarray:
         import numpy as np
@@ -128,6 +132,8 @@ class FGM(Copula):
     def cdf(self, u: float, v: float) -> float:
         _check_unit_pair(u, v)
         return u * v * (1.0 + self.theta * (1.0 - u) * (1.0 - v))
+
+    _survival_cdf = cdf  # radially symmetric: its own survival copula
 
     def sample(self, n: int, seed: int | None = None) -> np.ndarray:
         import numpy as np
@@ -553,6 +559,8 @@ class StudentT(Copula):
         # integral), so far-tail values can leave the Frechet bounds.
         return min(max(c, u + v - 1.0, 0.0), u, v)
 
+    _survival_cdf = cdf  # radially symmetric: its own survival copula
+
     def sample(self, n: int, seed: int | None = None) -> np.ndarray:
         import numpy as np
 
@@ -579,8 +587,10 @@ class Survival(Copula):
     value is u v + (1-u)(1-v) expm1(H), two nonnegative terms, and nothing
     cancels: against a 60-digit decimal reference on u, v in [1e-10, 0.99]
     both are within 2.5e-15 relative (AsymGumbel for theta in [1.05, 500]).
-    Every other base takes the formula as written, which cancels terms of
-    order one and so is accurate to ~1e-16 absolute, not relative.
+    The radially symmetric independence, comonotone, FGM and Student-t
+    copulas are their own survival copulas and evaluate their own cdf. Any
+    other base takes the formula as written, which cancels terms of order
+    one and so is accurate to ~1e-16 absolute, not relative.
 
     The transform is an involution, so wrapping a Survival unwraps it (see
     the survival() helper); samples are the reflected samples of the base.

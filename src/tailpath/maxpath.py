@@ -32,12 +32,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PathPoint:
-    """Slice maximizer at one u: location, value, and scale diagnostics."""
+    """Slice maximizer at one u: location, value, and scale diagnostics.
+
+    converged is the slice search's own flag (OptimResult1D.converged).
+    """
 
     u: float
     phi_star: float
     pi_value: float
     argmax_at_boundary: bool
+    converged: bool
 
     @property
     def v_star(self) -> float:
@@ -103,7 +107,11 @@ def maximize_slice(model: Copula, u: float, *, n_grid: int = 512) -> PathPoint:
         raise DomainError(f"maximize_slice needs u in (0, 1], got {u}")
     if u == 1.0:
         return PathPoint(
-            u=1.0, phi_star=1.0, pi_value=model.cdf(1.0, 1.0), argmax_at_boundary=True
+            u=1.0,
+            phi_star=1.0,
+            pi_value=model.cdf(1.0, 1.0),
+            argmax_at_boundary=True,
+            converged=True,
         )
     u_sq = u * u
     lo_s = 2.0 * math.log(u)
@@ -127,7 +135,11 @@ def maximize_slice(model: Copula, u: float, *, n_grid: int = 512) -> PathPoint:
     x_star = min(1.0, max(u_sq, math.exp(s_star)))
     at_boundary = (s_star - lo_s) <= step or (hi_s - s_star) <= step
     return PathPoint(
-        u=u, phi_star=x_star, pi_value=result.max_value, argmax_at_boundary=at_boundary
+        u=u,
+        phi_star=x_star,
+        pi_value=result.max_value,
+        argmax_at_boundary=at_boundary,
+        converged=result.converged,
     )
 
 

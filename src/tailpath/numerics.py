@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import BracketError, ConvergenceError, DomainError
@@ -657,14 +657,12 @@ def brent_root(
 
 @dataclass(frozen=True)
 class OptimResult1D:
-    """Outcome of a 1-d maximization: location, value, effort, convergence, grid."""
+    """Outcome of a 1-d maximization: location, value, effort, convergence."""
 
     argmax: float
     max_value: float
     n_evals: int
     converged: bool
-    grid_x: list[float] = field(repr=False)
-    grid_f: list[float] = field(repr=False)
 
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -696,9 +694,8 @@ def maximize_1d(
     golden-section then shrinks the best grid cell's bracket below tol, in at
     most 200 steps (converged reports whether it got there). The returned
     value never falls below the best grid sample (monotone improvement), and
-    exact ties resolve toward the smaller abscissa. The result carries the
-    scanned grid, n_grid evenly spaced points from lo to hi, and f on it with
-    non-finite values taken as -inf.
+    exact ties resolve toward the smaller abscissa. The grid is n_grid evenly
+    spaced points from lo to hi, where non-finite values count as -inf.
     """
     if not lo < hi:
         raise DomainError(f"maximize_1d needs lo < hi, got [{lo}, {hi}]")
@@ -745,8 +742,6 @@ def maximize_1d(
         max_value=best_f,
         n_evals=n_evals,
         converged=converged,
-        grid_x=xs,
-        grid_f=fs,
     )
 
 

@@ -6,7 +6,9 @@ to 0. This module provides the closed forms available for the families in
 Pickands function, Student-t), a numeric-limit fallback for any model with an
 evaluable cdf, and the MTCM solver, which maximizes the profile b mapsto
 Lambda(b, 1/b) over unit-area rectangles and reports the maximizer b_star and
-maximum lambda_star.
+maximum lambda_star. Order-1 homogeneity makes the log profile 1-Lipschitz
+in ln b, so the solver's Piyavskii-Shubert search certifies lambda_star to
+a relative gap, which it reports, and decides degeneracy exactly at b = 1.
 
 Each closed form is one plain function with its parameters first;
 analytic_tail_copula binds them with functools.partial, so the solver gets
@@ -16,8 +18,10 @@ returns the error estimate, and a callable class (NumericTailCopula).
 
 from __future__ import annotations
 
+import heapq
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Callable
 
@@ -35,6 +39,7 @@ from .errors import DegenerateTailError, DomainError
 from .numerics import aitken_limit, maximize_1d, student_t_cdf
 
 __all__ = [
+    "MTCM_GAP",
     "MtcmResult",
     "NumericTailCopula",
     "analytic_tail_copula",
@@ -101,9 +106,11 @@ def tail_copula_tev(nu: float, rho: float, x: float, y: float) -> float:
     if x == 0.0 or y == 0.0:
         return 0.0
     eta = math.sqrt((nu + 1.0) / (1.0 - rho * rho))
-    inv_nu = 1.0 / nu
-    term_x = x * student_t_cdf(eta * (rho - (y / x) ** (-inv_nu)), nu + 1.0)
-    term_y = y * student_t_cdf(eta * (rho - (x / y) ** (-inv_nu)), nu + 1.0)
+    # r = (x/y)^(1/nu) from logs: x/y can leave the float range (x = 1e-200,
+    # y = 1e200) where r does not; the clamp keeps r and 1/r finite.
+    r = math.exp(min(max((math.log(x) - math.log(y)) / nu, -709.0), 709.0))
+    term_x = x * student_t_cdf(eta * (rho - r), nu + 1.0)
+    term_y = y * student_t_cdf(eta * (rho - 1.0 / r), nu + 1.0)
     return term_x + term_y
 
 
@@ -218,86 +225,94 @@ def analytic_tail_copula(model: Copula) -> Callable[[float, float], float]:
     raise DomainError(f"no closed-form tail copula for {model!r}")
 
 
+# The relative gap at which the mtcm search stops, the half-width in ln b of
+# its refinement, and its evaluation cap.
+MTCM_GAP = 1e-3
+_MTCM_REFINE = 0.05
+_MTCM_MAX_EVALS = 2000
+_TINY = sys.float_info.min
+_LN_TINY = math.log(_TINY)
+
+
 @dataclass(frozen=True)
 class MtcmResult:
-    """Maximal tail concordance: maximizer, maximum, and solver diagnostics.
+    """Maximal tail concordance: maximizer, maximum, and search diagnostics.
 
-    profile_samples holds the (b, Lambda(b, 1/b)) pairs of the grid the
-    final search scanned, in increasing b; `tailpath profile` writes them
-    as profile.csv and as the profile.svg curve.
+    gap certifies lambda_star: the profile's maximum is at most
+    lambda_star (1 + gap), up to the rounding of the profile values, when the
+    tail is a tail copula (for a numeric one, up to its error estimates); a
+    callable that is none gets no such bound. A value that is not a positive
+    normal float (0, NaN, inf or subnormal) counts as the smallest normal
+    float, the bound an underflow leaves. The search aims at gap <= MTCM_GAP,
+    and converged is false when it met its evaluation cap first. unique
+    certifies that every b with |ln(b / b_star)| > 0.1 has a profile value
+    below lambda_star / (1 + MTCM_GAP); false means the search could not.
     """
 
     b_star: float
     lambda_star: float
     unique: bool
-    profile_samples: tuple[tuple[float, float], ...] = field(repr=False)
+    gap: float
+    converged: bool
     n_evals: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "b_star": self.b_star,
-            "lambda_star": self.lambda_star,
-            "unique": self.unique,
-            "n_evals": self.n_evals,
-        }
+        return asdict(self)
 
 
-def mtcm(tail: Callable[[float, float], float], *, n_grid: int = 512) -> MtcmResult:
-    """Maximize the profile b -> Lambda(b, 1/b) and return (b_star, lambda_star).
+def mtcm(tail: Callable[[float, float], float]) -> MtcmResult:
+    """Maximize the profile f(s) = Lambda(e^s, e^-s) over s = ln b.
 
-    The search is one maximize_1d call in s = ln b over [-ln 1e3, ln 1e3],
-    treating b and 1/b symmetrically: a grid scan, then golden-section
-    refinement of the best grid cell to 1e-10 in s. It assumes
-    Lambda(x, y) <= min(x, y), which every tail copula meets, so that
-    Lambda(b, 1/b) <= min(b, 1/b): a profile value f certifies that the
-    maximizer lies in |ln b| <= -ln f. When the first maximum is below 1e-3
-    that bound reaches past the bracket, and the search is run once more over
-    it; the second result replaces the first. A callable that breaks the
-    assumption gets no such certificate. No bracket is widened further, and
-    the search raises no ConvergenceError of its own.
-
-    Raises DegenerateTailError when the profile maximum over the first
-    bracket is below the degeneracy threshold 1e-10: the tail copula is
-    identically zero at this resolution and every downstream tail quantity
-    is undefined. A non-finite profile value counts as -inf, as in
-    maximize_1d, which raises DomainError for a profile with no finite value
-    on the grid and for n_grid < 3.
-
-    The uniqueness flag is a grid-level diagnostic: it clears when some grid
-    point outside the refined cell comes within the plateau tolerance 1e-9
-    of the grid maximum (a plateau or a competing branch), and is not a
-    certification. profile_samples is the final search's grid, which
-    `tailpath profile` writes as its table and chart.
+    A tail copula is monotone and homogeneous of order 1, so ln f is 1-Lipschitz
+    and f(s) <= e^-|s|: f(0) = 0 exactly when Lambda vanishes (DegenerateTailError),
+    and otherwise the maximizer has |s| <= -ln f(0). There, up to |s| = 709 where
+    e^s is a float, a Piyavskii-Shubert search splits the interval of highest
+    envelope at its peak until none exceeds the best ln f by ln(1 + MTCM_GAP);
+    maximize_1d refines the best point over +-0.05. value_and_error, where the
+    tail has it, raises each value by its error; a non-finite f(0) is a DomainError.
     """
+    with_error = getattr(tail, "value_and_error", None)
 
-    def profile(s: float) -> float:
-        e = math.exp(s)
-        return tail(e, 1.0 / e)
+    def profile(s: float) -> tuple[float, float]:
+        b = math.exp(s)
+        r = tail(b, 1.0 / b) if with_error is None else with_error(b, 1.0 / b)
+        return (r, 0.0) if with_error is None else (r.value, r.error)
 
-    s_max = math.log(1e3)
-    res = maximize_1d(profile, -s_max, s_max, n_grid=n_grid, tol=1e-10)
-    n_evals = res.n_evals
-    if res.max_value < 1e-10:
-        raise DegenerateTailError(
-            f"profile maximum {res.max_value:.3e} below degeneracy threshold "
-            "1.0e-10: tail copula is degenerate"
-        )
-    if res.max_value < 1e-3:
-        s_max = -math.log(res.max_value)
-        res = maximize_1d(profile, -s_max, s_max, n_grid=n_grid, tol=1e-10)
-        n_evals += res.n_evals
+    def visit(s: float) -> float:
+        # f(s), kept if best; returns ln(f(s) + err), floored as an underflow.
+        nonlocal best_f, best_s, u_top
+        f, err = profile(s)
+        if best_f < f < math.inf:
+            best_f, best_s = f, s
+        u = math.log(f + err) if _TINY < f + err < math.inf else _LN_TINY
+        u_top = max(u_top, u)
+        return u
 
-    fs = res.grid_f
-    f_grid = max(fs)
-    i_best = fs.index(f_grid)
-    near = [i for i, f in enumerate(fs) if f >= f_grid - 1e-9]
-    unique = near[0] >= i_best - 1 and near[-1] <= i_best + 1
+    def push(a: float, ua: float, b: float, ub: float) -> None:
+        # The envelope's peak on [a, b]; a split one clears ua and ub, so lies inside.
+        x = 0.5 * (a + b + ub - ua)
+        heapq.heappush(heap, (-0.5 * (ua + ub + b - a), a, ua, b, ub, x))
 
-    samples = tuple((math.exp(s), f) for s, f in zip(res.grid_x, fs))
-    return MtcmResult(
-        b_star=math.exp(res.argmax),
-        lambda_star=res.max_value,
-        unique=unique,
-        profile_samples=samples,
-        n_evals=n_evals,
-    )
+    f0, err0 = profile(0.0)
+    if not math.isfinite(f0):
+        raise DomainError(f"tail copula profile at b = 1 is {f0}")
+    if f0 <= err0:
+        raise DegenerateTailError(f"Lambda(1, 1) = {f0:.3e} +- {err0:.1e}: the tail is degenerate")
+    s_max, u0 = min(max(-math.log(f0 - err0), 0.0), 709.0), math.log(f0 + err0)
+    best_f, best_s, u_top, heap, stop = f0, 0.0, u0, [], math.log1p(MTCM_GAP)
+    push(-s_max, visit(-s_max), 0.0, u0)
+    push(0.0, u0, s_max, visit(s_max))
+    # Each split adds one interval, so len(heap) + 1 profile values are known.
+    while -heap[0][0] > u_top + stop and len(heap) + 1 < _MTCM_MAX_EVALS:
+        _, a, ua, b, ub, x = heapq.heappop(heap)
+        ux = visit(x)
+        push(a, ua, x, ux)
+        push(x, ux, b, ub)
+    env, h = max(-heap[0][0], u_top), _MTCM_REFINE
+    ref = maximize_1d(lambda s: profile(s)[0], best_s - h, best_s + h, n_grid=5, tol=1e-10)
+    best_f, best_s = max((best_f, best_s), (ref.max_value, ref.argmax))
+    top = math.log(best_f)
+    unique = all(-e <= top - stop or a - 2 * h <= best_s <= b + 2 * h for e, a, _, b, _, _ in heap)
+    converged = env <= u_top + stop and ref.converged
+    gap = math.expm1(max(env - top, 0.0))
+    return MtcmResult(math.exp(best_s), best_f, unique, gap, converged, len(heap) + 1 + ref.n_evals)

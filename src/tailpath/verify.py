@@ -87,7 +87,7 @@ def smo_mtcm_suite() -> list[CheckResult]:
         _leq("smo(0.35,0.7) lambda_star", abs(res.lambda_star - math.sqrt(0.245)), 1e-8)
     )
     out.append(_check("smo(0.35,0.7) unique flag", res.unique, str(res.unique)))
-    # b_star = sqrt(1e7) lies beyond the first bracket [1e-3, 1e3].
+    # b_star = sqrt(1e7) lies far out in the search domain |ln b| <= ln 1e7.
     res = mtcm(partial(tail_copula_smo, 1e-7, 1.0))
     out.append(_leq("smo(1e-7,1) b_star", abs(res.b_star - math.sqrt(1e7)), 1e-6))
     out.append(

@@ -199,6 +199,19 @@ class TestMtcmCommand:
         on_disk = json.loads(read(tmp_path / "mtcm.json"))
         assert on_disk == payload
 
+    def test_payload_carries_the_certificate(self, tmp_path, capsys):
+        assert main(["mtcm", "--model", "sag:alpha=0.35,beta=0.7,theta=2", "--out", str(tmp_path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert set(payload) == {"b_star", "lambda_star", "unique", "gap", "converged", "n_evals"}
+        assert payload["converged"] is True
+        assert 0.0 < payload["gap"] <= 1e-3
+
+    def test_tiny_tail_is_maximized(self, tmp_path, capsys):
+        # Lambda(1, 1) = 9.9e-22: small, but not zero, so not degenerate.
+        assert main(["mtcm", "--model", "t:nu=30,rho=-0.9", "--out", str(tmp_path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert 9.9e-22 < payload["lambda_star"] < 1e-21
+
 
 class TestPathCommand:
     def test_csv_columns_and_schedule(self, tmp_path):
@@ -254,6 +267,15 @@ class TestPathCommand:
         assert code == 0
         payload = json.loads(read(tmp_path / "path.json"))
         assert payload["b_limit"] == pytest.approx(math.sqrt(2.0), abs=0.01)
+
+    def test_json_tier_reports_slice_convergence(self, tmp_path):
+        argv = ["path", "--model", "smo:alpha=0.35,beta=0.7", "--schedule", "0.1,0.01,0.001"]
+        assert main(argv + ["--format", "json", "--out", str(tmp_path)]) == 0
+        payload = json.loads(read(tmp_path / "path.json"))
+        assert payload["slice_converged"] == [True, True, True]
+        # The CSV columns stay as they were.
+        header = read(tmp_path / "path.csv").splitlines()[0]
+        assert header == "u,phi_star,v_star,pi,pi_over_u,ratio_b,boundary_flag"
 
 
 class TestDeterminism:
@@ -407,7 +429,7 @@ class TestSvgTier:
         assert text.startswith("<svg")
 
     def test_profile_holds_maximizer_beyond_first_bracket(self, tmp_path):
-        # b* = sqrt(1e7) lies outside mtcm's first bracket [1e-3, 1e3].
+        # b* = sqrt(1e7) lies far out in the table's domain [1e-7, 1e7].
         argv = ["profile", "--model", "smo:alpha=1e-7,beta=1", "--format", "svg"]
         assert main(argv + ["--out", str(tmp_path)]) == 0
         lines = read(tmp_path / "profile.csv").splitlines()
@@ -422,6 +444,28 @@ class TestSvgTier:
         marker = re.search(r'<line x1="([0-9.]+)"[^>]*stroke-dasharray', svg)
         assert marker is not None
         assert 62.0 <= float(marker.group(1)) <= 624.0
+
+
+class TestProfileCommand:
+    @pytest.mark.parametrize(
+        "spec, lo",
+        [("smo:alpha=0.35,beta=0.7", 0.35), ("comono", math.exp(-1.0))],
+        ids=["smo", "comono"],
+    )
+    def test_profile_covers_certified_domain(self, tmp_path, spec, lo):
+        # 511 log-uniform points of [f, 1/f], f = Lambda(1, 1) (at least one
+        # e-fold wide), plus the certified peak itself.
+        assert main(["profile", "--model", spec, "--out", str(tmp_path)]) == 0
+        lines = read(tmp_path / "profile.csv").splitlines()
+        rows = [tuple(float(c) for c in line.split(",")) for line in lines[1:]]
+        assert len(rows) == 512
+        bs = [b for b, _ in rows]
+        assert bs == sorted(bs)
+        assert bs[0] == pytest.approx(lo, rel=1e-12)
+        assert bs[-1] == pytest.approx(1.0 / lo, rel=1e-12)
+        result = json.loads(read(tmp_path / "mtcm.json"))
+        assert (result["b_star"], result["lambda_star"]) in rows
+        assert max(f for _, f in rows) == result["lambda_star"]
 
 
 class TestFigureCommand:

@@ -238,6 +238,22 @@ class TestSurvivalKernels:
         c = survival(FGM(0.6)).cdf(1e-8, 1e-8)
         assert c == pytest.approx(1e-16 * (1.0 + 0.6 * (1.0 - 1e-8) ** 2), rel=1e-15)
 
+    @pytest.mark.parametrize(
+        "model, u, want",
+        [
+            (Independence(), 1e-9, 1e-18),
+            (Comonotone(), 1e-9, 1e-9),
+            (FGM(0.6), 1e-8, 1e-16 * (1.0 + 0.6 * (1.0 - 1e-8) ** 2)),
+            (StudentT(4.0, 0.5), 1e-9, StudentT(4.0, 0.5).cdf(1e-9, 1e-9)),
+        ],
+        ids=["indep", "comono", "fgm", "t"],
+    )
+    def test_explicit_survival_keeps_relative_accuracy(self, model, u, want):
+        # An explicitly built Survival evaluates the family's own cdf; through
+        # u + v - 1 + C(1-u, 1-v) FGM(0.6) read 0.0, independence 1.1e-16 and
+        # the t copula 7e-9 relative off.
+        assert Survival(model).cdf(u, u) == pytest.approx(want, rel=1e-13)
+
 
 class TestParameterValidation:
     def test_fgm_range(self):

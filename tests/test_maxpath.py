@@ -114,6 +114,11 @@ class TestMaximizeSlice:
         point = maximize_slice(Comonotone(), 1.0)
         assert point.phi_star == 1.0
         assert point.pi_value == 1.0
+        assert point.converged
+
+    def test_slice_search_convergence_is_reported(self):
+        point = maximize_slice(survival(MarshallOlkin(0.35, 0.7)), 0.01)
+        assert point.converged is True
 
     def test_grid_doubling_stability(self):
         model = survival(AsymGumbel(0.35, 0.7, 2.0))

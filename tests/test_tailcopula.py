@@ -4,6 +4,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from tailpath import tailcopula
 from tailpath.cli import parse_model
 from tailpath.copulas import (
     AsymGumbel,
@@ -60,6 +61,12 @@ class TestClosedForms:
         eta = math.sqrt((nu + 1.0) / (1.0 - rho * rho))
         want = 2.0 * student_t_cdf(eta * (rho - 1.0), nu + 1.0)
         assert tail_copula_tev(nu, rho, 1.0, 1.0) == pytest.approx(want, rel=1e-13)
+
+    def test_tev_far_apart_arguments(self):
+        # x / y = 1e-400 underflows to 0, where (y/x)^(-1/nu) divided by zero;
+        # 50-digit mpmath reference.
+        value = tail_copula_tev(30.0, 0.5, 1e-200, 1e200)
+        assert value == pytest.approx(9.9847634551290696e-201, rel=1e-14)
 
     def test_tev_exchangeable(self):
         for x, y in ((1.0, 2.0), (0.25, 1.7)):
@@ -303,11 +310,15 @@ class TestMtcm:
             tail_copula_tev(4.0, 0.5, 1.0, 1.0), abs=1e-9
         )
 
-    def test_grid_doubling_stability(self):
-        coarse = mtcm(partial(tail_copula_smo, 0.2, 0.9), n_grid=512)
-        fine = mtcm(partial(tail_copula_smo, 0.2, 0.9), n_grid=1024)
+    def test_finer_gap_stability(self, monkeypatch):
+        tail = partial(tail_copula_from_pickands, PickandsFn(0.2, 0.9, 3.0))
+        coarse = mtcm(tail)
+        monkeypatch.setattr(tailcopula, "MTCM_GAP", 1e-5)
+        fine = mtcm(tail)
+        assert fine.converged and fine.gap <= 1e-5 < coarse.gap <= 1e-3
+        assert fine.n_evals > coarse.n_evals
         assert abs(coarse.b_star - fine.b_star) <= 1e-6
-        assert abs(coarse.lambda_star - fine.lambda_star) <= 1e-8
+        assert fine.lambda_star == pytest.approx(coarse.lambda_star, rel=1e-12)
 
     def test_exchangeable_profile_is_symmetric(self):
         tail = partial(tail_copula_tev, 4.0, 0.5)
@@ -343,29 +354,100 @@ class TestMtcm:
         with pytest.raises(DegenerateTailError):
             mtcm(NumericTailCopula(FGM(-1.0)))
 
-    def test_profile_samples_cover_bracket(self):
-        res = mtcm(SMO)
-        bs = [b for b, _ in res.profile_samples]
-        assert min(bs) < 0.01 and max(bs) > 100.0
-
-    def test_bad_bracket(self):
-        with pytest.raises(DomainError):
-            mtcm(SMO, n_grid=1)
+    def test_nonfinite_value_at_unit_b_raises(self):
+        # Only f(0) = Lambda(1, 1) decides degeneracy, so only it must be finite.
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                mtcm(lambda x, y: bad if x == 1.0 else min(x, y))
 
     @pytest.mark.parametrize("alpha", [1e-7, 1e-12])
     def test_rescan_finds_maximizer_beyond_first_bracket(self, alpha):
-        # b_star = sqrt(1 / alpha) > 1e3; the first maximum, ~1e3 alpha, bounds
-        # the rescan at |ln b| <= -ln(1e3 alpha).
+        # b_star = sqrt(1 / alpha) lies far out in the domain |ln b| <= -ln alpha.
         res = mtcm(partial(tail_copula_smo, alpha, 1.0))
         assert res.b_star == pytest.approx(math.sqrt(1.0 / alpha), rel=1e-9)
         assert res.lambda_star == pytest.approx(math.sqrt(alpha), abs=1e-12)
 
     def test_rescan_finds_outer_peak(self):
-        # Two peaks: 5e-4 at b = 1 inside the first bracket, and the global
-        # maximum sqrt(4e-7) at b = sqrt(2.5e6) outside it.
+        # Two peaks: 5e-4 at b = 1, where the search starts, and the global
+        # maximum sqrt(4e-7) at b = sqrt(2.5e6).
         def tail(x, y):
             return max(min(5e-4 * x, 5e-4 * y), min(4e-7 * x, y))
 
         res = mtcm(tail)
         assert res.lambda_star == pytest.approx(math.sqrt(4e-7), abs=1e-12)
         assert res.b_star == pytest.approx(math.sqrt(2.5e6), rel=1e-9)
+
+    def test_random_smo_gap_certifies(self):
+        rng = np.random.default_rng(20261019)
+        for _ in range(300):
+            alpha, beta = map(float, rng.uniform(0.05, 1.0, 2))
+            res = mtcm(partial(tail_copula_smo, alpha, beta))
+            exact = math.sqrt(alpha * beta)
+            assert res.converged and res.unique
+            assert res.lambda_star == pytest.approx(exact, rel=1e-10)
+            # The gap bounds the error up to the rounding of the profile values.
+            assert (exact - res.lambda_star) / res.lambda_star <= res.gap + 4e-16
+
+    def test_random_sag_matches_dense_maximum(self):
+        from scipy.optimize import minimize_scalar
+
+        def profile(alpha, beta, theta, s):
+            # Lambda(e^s, e^-s) = ax + by - ((ax)^theta + (by)^theta)^(1/theta),
+            # ax = alpha e^s, by = beta e^-s, written without cancellation.
+            ax, by = alpha * np.exp(s), beta * np.exp(-s)
+            lo, hi = np.minimum(ax, by), np.maximum(ax, by)
+            return lo - hi * np.expm1(np.log1p((lo / hi) ** theta) / theta)
+
+        rng = np.random.default_rng(20261020)
+        n_evals = []
+        for _ in range(300):
+            alpha, beta = map(float, rng.uniform(0.05, 1.0, 2))
+            theta = float(np.exp(rng.uniform(math.log(1.05), math.log(500.0))))
+            res = mtcm(partial(tail_copula_from_pickands, PickandsFn(alpha, beta, theta)))
+            n_evals.append(res.n_evals)
+            s_max = -math.log(float(profile(alpha, beta, theta, 0.0)))
+            grid = np.linspace(-s_max, s_max, 4001)
+            i = int(np.argmax(profile(alpha, beta, theta, grid)))
+            opt = minimize_scalar(
+                lambda s: -float(profile(alpha, beta, theta, s)),
+                bounds=(grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]),
+                method="bounded",
+                options={"xatol": 1e-12},
+            )
+            dense = max(-opt.fun, float(profile(alpha, beta, theta, grid[i])))
+            assert res.converged
+            assert res.lambda_star == pytest.approx(dense, rel=1e-10)
+            assert (dense - res.lambda_star) / res.lambda_star <= res.gap + 4e-16
+        # The search's cost, pinned: the 512-point grid of the earlier solver
+        # took 556 evaluations on every one of these tails.
+        assert np.median(n_evals) == 71
+
+    def test_tiny_tail_is_not_degenerate(self):
+        # Lambda(1, 1) = 9.9e-22 > 0, so the t(30, -0.9) tail is maximized at b = 1.
+        tail = partial(tail_copula_tev, 30.0, -0.9)
+        res = mtcm(tail)
+        assert res.lambda_star == pytest.approx(tail(1.0, 1.0), rel=1e-10)
+        assert 9.9e-22 < res.lambda_star < 1e-21
+        assert res.b_star == pytest.approx(1.0, abs=1e-4)
+
+    def test_comonotone_is_exact(self):
+        res = mtcm(partial(tail_copula_smo, 1.0, 1.0))
+        assert (res.b_star, res.lambda_star, res.gap) == (1.0, 1.0, 0.0)
+        assert res.converged and res.unique
+
+    def test_evaluation_cap_reports_unconverged_gap(self, monkeypatch):
+        tail = partial(tail_copula_tev, 4.0, 0.5)
+        monkeypatch.setattr(tailcopula, "_MTCM_MAX_EVALS", 10)
+        res = mtcm(tail)
+        assert not res.converged
+        assert res.gap > tailcopula.MTCM_GAP
+        assert tail(1.0, 1.0) <= res.lambda_star * (1.0 + res.gap)
+
+    def test_numeric_tail_gap_includes_its_errors(self):
+        tail = NumericTailCopula(StudentT(4.0, 0.5))
+        res = mtcm(tail)
+        exact = tail_copula_tev(4.0, 0.5, 1.0, 1.0)
+        err = tail.value_and_error(1.0, 1.0).error
+        assert res.gap >= err / res.lambda_star
+        assert exact <= res.lambda_star * (1.0 + res.gap)
+        assert res.b_star == pytest.approx(1.0, abs=1e-3)
