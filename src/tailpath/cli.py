@@ -127,7 +127,7 @@ def parse_model(spec: str) -> Copula:
 
 
 def parse_schedule(text: str) -> list[float] | None:
-    """Parse `--schedule`: `default` -> None, else a comma list of u values."""
+    """Parse `--schedule`: `default` -> None, else a comma list of u values in (0, 1]."""
     body = text.strip()
     if body == "default":
         return None
@@ -137,6 +137,9 @@ def parse_schedule(text: str) -> list[float] | None:
         raise ConfigError(f"schedule must be `default` or comma-separated floats, got {text!r}") from None
     if not values:
         raise ConfigError("schedule is empty")
+    bad = [u for u in values if not 0.0 < u <= 1.0]  # NaN included
+    if bad:
+        raise ConfigError(f"schedule values must lie in (0, 1], got {bad[0]}")
     return values
 
 

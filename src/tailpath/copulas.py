@@ -17,6 +17,7 @@ about a model are upper-tail questions about its survival copula.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -46,6 +47,19 @@ if TYPE_CHECKING:
 _TINY = sys.float_info.min
 
 
+def _generator(n: int, seed: int | None) -> tuple[int, np.random.Generator]:
+    """n as an int and numpy's generator for seed: DomainError unless both are integers >= 0."""
+    import numpy as np
+
+    try:
+        size = operator.index(n)
+        if size < 0:
+            raise ValueError
+        return size, np.random.default_rng(seed)
+    except (TypeError, ValueError):
+        raise DomainError(f"sampling needs integers n, seed >= 0, got {n!r}, {seed!r}") from None
+
+
 def _check_unit_pair(u: float, v: float) -> None:
     if not (0.0 <= u <= 1.0 and 0.0 <= v <= 1.0):
         raise DomainError(f"copula arguments must lie in [0, 1]^2, got ({u}, {v})")
@@ -67,7 +81,7 @@ class Copula:
         return u + v - 1.0 + self.cdf(1.0 - u, 1.0 - v)
 
     def sample(self, n: int, seed: int | None = None) -> np.ndarray:
-        """Draw n pairs as an (n, 2) array with uniform margins."""
+        """Draw n >= 0 pairs as an (n, 2) array with uniform margins."""
         raise NotImplementedError
 
     def spec(self) -> str:
@@ -88,9 +102,7 @@ class Independence(Copula):
     _survival_cdf = cdf  # radially symmetric: its own survival copula
 
     def sample(self, n: int, seed: int | None = None) -> np.ndarray:
-        import numpy as np
-
-        rng = np.random.default_rng(seed)
+        n, rng = _generator(n, seed)
         return rng.random((n, 2))
 
     def spec(self) -> str:
@@ -109,7 +121,7 @@ class Comonotone(Copula):
     def sample(self, n: int, seed: int | None = None) -> np.ndarray:
         import numpy as np
 
-        rng = np.random.default_rng(seed)
+        n, rng = _generator(n, seed)
         u = rng.random(n)
         return np.column_stack([u, u])
 
@@ -138,7 +150,7 @@ class FGM(Copula):
     def sample(self, n: int, seed: int | None = None) -> np.ndarray:
         import numpy as np
 
-        rng = np.random.default_rng(seed)
+        n, rng = _generator(n, seed)
         u = rng.random(n)
         return np.column_stack([u, self._conditional_quantile(u, rng.random(n))])
 
@@ -207,7 +219,7 @@ class MarshallOlkin(Copula):
     def sample(self, n: int, seed: int | None = None) -> np.ndarray:
         import numpy as np
 
-        rng = np.random.default_rng(seed)
+        n, rng = _generator(n, seed)
         a, b = self.alpha, self.beta
         z12 = rng.exponential(1.0, size=n)
         # Individual shock rates (1-a)/a and (1-b)/b; rate 0 means no shock.
@@ -341,7 +353,7 @@ class AsymGumbel(Copula):
         """
         import numpy as np
 
-        rng = np.random.default_rng(seed)
+        n, rng = _generator(n, seed)
         k = 1.0 / self.theta
         w = np.pi * (1.0 - rng.random(n))
         e = rng.standard_exponential((5, n))  # E, E1, E2, then -ln of the two uniforms
@@ -532,8 +544,8 @@ class StudentT(Copula):
     """
 
     def __init__(self, nu: float, rho: float) -> None:
-        if not nu > 0.0:
-            raise DomainError(f"StudentT needs nu > 0, got {nu}")
+        if not 0.0 < nu < math.inf:
+            raise DomainError(f"StudentT needs finite nu > 0, got {nu}")
         if not -1.0 < rho < 1.0:
             raise DomainError(f"StudentT needs rho in (-1, 1), got {rho}")
         self.nu = float(nu)
@@ -564,7 +576,7 @@ class StudentT(Copula):
     def sample(self, n: int, seed: int | None = None) -> np.ndarray:
         import numpy as np
 
-        rng = np.random.default_rng(seed)
+        n, rng = _generator(n, seed)
         nu, rho = self.nu, self.rho
         z1 = rng.standard_normal(n)
         z2 = rho * z1 + math.sqrt(1.0 - rho * rho) * rng.standard_normal(n)

@@ -17,7 +17,7 @@ from typing import Sequence
 from .copulas import Copula
 from .errors import ConvergenceError, DomainError, ScheduleError, TailPathError
 from .numerics import aitken_limit, maximize_1d
-from .tailcopula import MtcmResult, NumericTailCopula, analytic_tail_copula, mtcm
+from .tailcopula import _LEVEL_FLOOR, MtcmResult, NumericTailCopula, analytic_tail_copula, mtcm
 
 __all__ = [
     "EquivalenceReport",
@@ -71,6 +71,9 @@ class PathResult:
     failures: tuple[tuple[float, str], ...] = ()
 
 
+_SLICE_GRID = 512  # points of maximize_slice's logarithmic grid
+
+
 def default_u_schedule() -> list[float]:
     """Half-decade schedule 10^-1, 10^-1.5, ..., 10^-4."""
     return [10.0 ** (-1.0 - 0.5 * k) for k in range(7)]
@@ -85,23 +88,23 @@ def _validate_schedule(schedule: Sequence[float]) -> list[float]:
             raise ScheduleError(f"schedule values must lie in (0, 1], got {u}")
     if any(b >= a for a, b in zip(us, us[1:])):
         raise ScheduleError("u schedule must be strictly decreasing")
-    if us[-1] < 1e-5:
+    if us[-1] < _LEVEL_FLOOR:
         raise ScheduleError(
-            f"schedule floor is 1e-5 (cdf accuracy limit), got {us[-1]}"
+            f"schedule floor is {_LEVEL_FLOOR:g} (cdf accuracy limit), got {us[-1]}"
         )
     return us
 
 
-def maximize_slice(model: Copula, u: float, *, n_grid: int = 512) -> PathPoint:
+def maximize_slice(model: Copula, u: float) -> PathPoint:
     """Maximize x -> C(x, u^2/x) over [u^2, 1] at one level u.
 
-    The grid is logarithmic in x (linear in s = ln x), which resolves
-    maximizers scaling like b*u uniformly over small u; endpoints are always
-    included, flat slices tie-break to the smallest x, and golden-section
-    refines the best cell to 1e-10 in s. argmax_at_boundary flags a
-    maximizer within one grid cell of u^2 or 1, the signature of a model
-    whose slice suprema sit at inadmissible corners (tail-independent
-    families like FGM).
+    The grid has a fixed _SLICE_GRID = 512 points, logarithmic in x (linear
+    in s = ln x), which resolves maximizers scaling like b*u uniformly over
+    small u; endpoints are always included, flat slices tie-break to the
+    smallest x, and golden-section refines the best cell to 1e-10 in s.
+    argmax_at_boundary flags a maximizer within one grid cell of u^2 or 1,
+    the signature of a model whose slice suprema sit at inadmissible corners
+    (tail-independent families like FGM).
     """
     if not 0.0 < u <= 1.0:
         raise DomainError(f"maximize_slice needs u in (0, 1], got {u}")
@@ -129,8 +132,8 @@ def maximize_slice(model: Copula, u: float, *, n_grid: int = 512) -> PathPoint:
         x = x if x < 1.0 else 1.0
         return cdf(x, u_sq / x)
 
-    result = maximize_1d(slice_value, lo_s, hi_s, n_grid=n_grid, tol=1e-10)
-    step = (hi_s - lo_s) / (n_grid - 1)
+    result = maximize_1d(slice_value, lo_s, hi_s, n_grid=_SLICE_GRID)
+    step = (hi_s - lo_s) / (_SLICE_GRID - 1)
     s_star = result.argmax
     x_star = min(1.0, max(u_sq, math.exp(s_star)))
     at_boundary = (s_star - lo_s) <= step or (hi_s - s_star) <= step
@@ -143,13 +146,11 @@ def maximize_slice(model: Copula, u: float, *, n_grid: int = 512) -> PathPoint:
     )
 
 
-def trace_path(
-    model: Copula,
-    u_schedule: Sequence[float] | None = None,
-    *,
-    n_grid: int = 512,
-) -> PathResult:
+def trace_path(model: Copula, u_schedule: Sequence[float] | None = None) -> PathResult:
     """Trace the slice maximizer over a decreasing u schedule and extrapolate.
+
+    The schedule (default_u_schedule when None) lies in [1e-5, 1] and
+    decreases strictly; each level is one 512-point maximize_slice.
 
     lambda_phi_star accelerates pi_over_u and b_limit accelerates ratio_b,
     both by aitken_limit over the successful points, whose error estimate is
@@ -167,7 +168,7 @@ def trace_path(
     failures: list[tuple[float, str]] = []
     for u in us:
         try:
-            points.append(maximize_slice(model, u, n_grid=n_grid))
+            points.append(maximize_slice(model, u))
         except TailPathError as exc:
             failures.append((u, str(exc)))
     if not points:

@@ -10,14 +10,15 @@ Halley iteration with a bisection safeguard, started from a corrected power-law
 tail bound or a Cornish-Fisher expansion, whichever is estimated closer. The bivariate
 Student-t cdf lives with the copula (copulas.StudentT): a closed form for
 integer nu up to 1000, quadrature built on these functions otherwise.
-Integration is adaptive Gauss-Kronrod (G7/K15) with worst-interval bisection;
-infinite endpoints are mapped to [0, 1) with the rational substitution
-x = a + t/(1-t), whose Jacobian the open rule tolerates at t -> 1 as long as
-f decays faster than 1/x^2 (a node that rounds onto t = 1 raises
-ConvergenceError). Root finding is classic
+Integration is adaptive Gauss-Kronrod (G7/K15) with worst-interval bisection
+over [a, b] or [a, inf), the only ranges the package integrates; [a, inf) is
+mapped to [0, 1) with x = a + t/(1-t), whose Jacobian the open rule tolerates
+at t -> 1 as long as f decays faster than 1/x^2. Root finding is classic
 Brent. Maximization is a coarse grid scan followed by golden-section
 refinement around the best cell, which is robust for the kinked profiles this
-package optimizes (piecewise-smooth with isolated corners).
+package optimizes (piecewise-smooth with isolated corners). The quadrature
+budget (400 bisections), Brent's tolerance (1e-15) and the golden-section
+bracket (1e-10) are fixed; callers choose only quadrature tolerances and grids.
 
 Scalar routines accept and return plain floats, and the grid scan runs on
 plain lists, so nothing here loads numpy until an array is built. The one
@@ -55,6 +56,12 @@ _EPS = sys.float_info.epsilon
 # |x| beyond which student_t_cdf takes its far-tail form (x^2 > 1e300 is
 # near overflow), for nu below the same bound.
 _T_FAR = 1e150
+
+# Fixed solver settings: integrate_adaptive's bisection budget, brent_root's
+# absolute tolerance and the bracket at which maximize_1d's golden section stops.
+_MAX_SUBDIVISIONS = 400
+_BRENT_XTOL = 1e-15
+_GOLDEN_TOL = 1e-10
 
 # 15-point Kronrod abscissae on [-1, 1] (positive half; node 0 included once)
 # with the embedded 7-point Gauss rule on the odd-indexed nodes.
@@ -293,7 +300,7 @@ def _betainc_array(a: float, b: float, x: np.ndarray, xc: np.ndarray) -> np.ndar
     tiny = 1e-300
 
     def floor_tiny(v):
-        if np.abs(v).min() < tiny:
+        if v.size and np.abs(v).min() < tiny:
             v[np.abs(v) < tiny] = tiny
 
     c = np.ones_like(xs)
@@ -512,41 +519,24 @@ def integrate_adaptive(
     *,
     abs_tol: float = 1e-10,
     rel_tol: float = 1e-8,
-    max_subdivisions: int = 400,
 ) -> float:
-    """Adaptive Gauss-Kronrod integral of f over [a, b], endpoints may be inf.
+    """Adaptive Gauss-Kronrod integral of f over [a, b], b finite or +inf.
 
     Bisects the interval with the worst error estimate until the summed
-    estimate meets max(abs_tol, rel_tol * |result|). Semi-infinite ranges are
-    folded to [0, 1) through x = a + t/(1 - t); a doubly infinite range is
-    split at zero. Raises ConvergenceError when the subdivision budget runs
-    out, or when bisection toward an infinite endpoint puts a node on t = 1,
-    rather than returning a silently inaccurate value.
+    estimate meets max(abs_tol, rel_tol * |result|), in at most
+    _MAX_SUBDIVISIONS = 400 bisections. [a, inf) is folded to [0, 1) through
+    x = a + t/(1 - t). a == b gives 0; a > b, a = -inf and NaN are
+    DomainError. Raises ConvergenceError when the budget runs out, or when
+    bisection toward infinity puts a node on t = 1, rather than returning a
+    silently inaccurate value.
     """
     if abs_tol <= 0.0 or rel_tol <= 0.0:
         raise DomainError("integration tolerances must be positive")
-    if math.isnan(a) or math.isnan(b):
-        raise DomainError("integration endpoints must not be NaN")
+    if not -math.inf < a <= b:  # NaN fails it too
+        raise DomainError(f"integrate_adaptive needs -inf < a <= b, got [{a}, {b}]")
     if a == b:
         return 0.0
-    if a > b:
-        return -integrate_adaptive(
-            f, b, a, abs_tol=abs_tol, rel_tol=rel_tol, max_subdivisions=max_subdivisions
-        )
-    a_inf = math.isinf(a)
-    b_inf = math.isinf(b)
-    if a_inf and b_inf:
-        half = integrate_adaptive(
-            f, 0.0, math.inf, abs_tol=0.5 * abs_tol, rel_tol=rel_tol,
-            max_subdivisions=max_subdivisions,
-        )
-        other = integrate_adaptive(
-            f, -math.inf, 0.0, abs_tol=0.5 * abs_tol, rel_tol=rel_tol,
-            max_subdivisions=max_subdivisions,
-        )
-        return half + other
-    if a_inf or b_inf:
-        base, sign = (a, 1.0) if b_inf else (b, -1.0)
+    if b == math.inf:
 
         def g(t: float) -> float:
             w = 1.0 - t
@@ -555,18 +545,15 @@ def integrate_adaptive(
                 raise ConvergenceError(
                     "adaptive quadrature subdivided down to the mapped infinite endpoint"
                 )
-            return f(base + sign * (t / w)) / (w * w)
+            return f(a + t / w) / (w * w)
 
-        return integrate_adaptive(
-            g, 0.0, 1.0, abs_tol=abs_tol, rel_tol=rel_tol,
-            max_subdivisions=max_subdivisions,
-        )
+        return integrate_adaptive(g, 0.0, 1.0, abs_tol=abs_tol, rel_tol=rel_tol)
 
     val, err = _gk15(f, a, b)
     panels = [(err, a, b, val)]
     total_val = val
     total_err = err
-    for _ in range(max_subdivisions):
+    for _ in range(_MAX_SUBDIVISIONS):
         if total_err <= max(abs_tol, rel_tol * abs(total_val)):
             return total_val
         worst = max(range(len(panels)), key=lambda i: panels[i][0])
@@ -585,20 +572,15 @@ def integrate_adaptive(
     if total_err <= max(abs_tol, rel_tol * abs(total_val)):
         return total_val
     raise ConvergenceError(
-        f"adaptive quadrature used {max_subdivisions} subdivisions, "
+        f"adaptive quadrature used {_MAX_SUBDIVISIONS} subdivisions, "
         f"error estimate {total_err:.3e} still above tolerance"
     )
 
 
-def brent_root(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    *,
-    xtol: float = 1e-13,
-) -> float:
+def brent_root(f: Callable[[float], float], lo: float, hi: float) -> float:
     """Brent's method for a root of f on [lo, hi] with a sign change.
 
+    Stops once the bracket is at most 4 eps |x| + _BRENT_XTOL = 1e-15 wide.
     Raises BracketError when f(lo) and f(hi) have the same strict sign, and
     ConvergenceError after 200 iterations without convergence.
     """
@@ -623,7 +605,7 @@ def brent_root(
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
-        tol1 = 2.0 * _EPS * abs(b) + 0.5 * xtol
+        tol1 = 2.0 * _EPS * abs(b) + 0.5 * _BRENT_XTOL
         xm = 0.5 * (c - b)
         if abs(xm) <= tol1 or fb == 0.0:
             return b
@@ -681,28 +663,22 @@ def _linspace(lo: float, hi: float, n: int) -> list[float]:
 
 
 def maximize_1d(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    *,
-    n_grid: int = 512,
-    tol: float = 1e-10,
+    f: Callable[[float], float], lo: float, hi: float, *, n_grid: int = 512
 ) -> OptimResult1D:
     """Maximize f on [lo, hi]: coarse grid scan, then golden-section refinement.
 
     The grid scan makes the search robust to multiple local maxima and kinks;
-    golden-section then shrinks the best grid cell's bracket below tol, in at
-    most 200 steps (converged reports whether it got there). The returned
-    value never falls below the best grid sample (monotone improvement), and
-    exact ties resolve toward the smaller abscissa. The grid is n_grid evenly
-    spaced points from lo to hi, where non-finite values count as -inf.
+    golden-section then shrinks the best grid cell's bracket below
+    _GOLDEN_TOL = 1e-10, in at most 200 steps (converged reports whether it
+    got there). The returned value never falls below the best grid sample
+    (monotone improvement), and exact ties resolve toward the smaller
+    abscissa. The grid is n_grid evenly spaced points from lo to hi, where
+    non-finite values count as -inf.
     """
     if not lo < hi:
         raise DomainError(f"maximize_1d needs lo < hi, got [{lo}, {hi}]")
     if n_grid < 3:
         raise DomainError(f"maximize_1d needs n_grid >= 3, got {n_grid}")
-    if tol <= 0.0:
-        raise DomainError("maximize_1d needs tol > 0")
     xs = _linspace(lo, hi, n_grid)
     fs = [v if math.isfinite(v) else -math.inf for v in map(f, xs)]
     # First index of the largest value, so ties go to the smaller abscissa.
@@ -714,13 +690,13 @@ def maximize_1d(
 
     a = xs[max(i_best - 1, 0)]
     b = xs[min(i_best + 1, n_grid - 1)]
-    converged = (b - a) <= tol
+    converged = (b - a) <= _GOLDEN_TOL
     x1 = b - _INV_GOLDEN * (b - a)
     x2 = a + _INV_GOLDEN * (b - a)
     f1, f2 = f(x1), f(x2)
     n_evals += 2
     for _ in range(200):
-        if (b - a) <= tol:
+        if (b - a) <= _GOLDEN_TOL:
             converged = True
             break
         if f1 >= f2:
@@ -737,12 +713,7 @@ def maximize_1d(
             cand_f > best_f or (cand_f == best_f and cand_x < best_x)
         ):
             best_x, best_f = cand_x, cand_f
-    return OptimResult1D(
-        argmax=best_x,
-        max_value=best_f,
-        n_evals=n_evals,
-        converged=converged,
-    )
+    return OptimResult1D(argmax=best_x, max_value=best_f, n_evals=n_evals, converged=converged)
 
 
 def aitken_limit(seq: Sequence[float]) -> tuple[float, float]:

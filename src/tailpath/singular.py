@@ -80,7 +80,7 @@ def singular_root(alpha: float, beta: float, u: float) -> SingularCurvePoint:
         return SingularCurvePoint(u=1.0, x_star=1.0, residual=0.0, ratio=1.0)
     lo = u * u * (1.0 + 1e-14)
     hi = 1.0 - 1e-14
-    x = brent_root(lambda t: log_gap(alpha, beta, u, t), lo, hi, xtol=1e-15)
+    x = brent_root(lambda t: log_gap(alpha, beta, u, t), lo, hi)
     return SingularCurvePoint(
         u=u,
         x_star=x,

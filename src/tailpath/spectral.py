@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .numerics import integrate_adaptive, student_t_cdf, student_t_pdf
+from .numerics import _student_t_ln_pdf, integrate_adaptive, student_t_cdf, student_t_pdf
 from .tailcopula import _check_quadrant
 
 __all__ = [
@@ -49,8 +49,8 @@ class SpectralModel:
     rho: float
 
     def __post_init__(self) -> None:
-        if not self.nu > 0.0:
-            raise DomainError(f"SpectralModel needs nu > 0, got {self.nu}")
+        if not 0.0 < self.nu < math.inf:
+            raise DomainError(f"SpectralModel needs finite nu > 0, got {self.nu}")
         if not -1.0 < self.rho < 1.0:
             raise DomainError(f"SpectralModel needs rho in (-1, 1), got {self.rho}")
 
@@ -60,15 +60,21 @@ class SpectralModel:
 
 
 def _h_from_parts(sm: SpectralModel, w: float, one_w: float) -> float:
-    """Density evaluated from w and 1-w supplied separately (stable for w -> 1)."""
+    """Density evaluated from w and 1-w supplied separately (stable for w -> 1).
+
+    Formed in logs, since for nu < 1 and w -> 0 both r = ((1-w)/w)^(1/nu)
+    and 1/w^((2nu+1)/nu) overflow while h underflows. Past ln r = 600 the t
+    argument exceeds 1e260, rho is lost against r, and ln t_{nu+1} falls by
+    exactly nu + 2 per unit of ln r, so the density is shifted from there.
+    """
     nu, eta = sm.nu, sm.eta
     ln_w = math.log(w)
     ln_one_w = math.log(one_w)
-    ratio_pow = math.exp((ln_one_w - ln_w) / nu)
+    ln_r = (ln_one_w - ln_w) / nu
+    excess = ln_r - 600.0 if ln_r > 600.0 else 0.0
+    ln_t = _student_t_ln_pdf(eta * (math.exp(ln_r - excess) - sm.rho), nu + 1.0)
     ln_denom = (2.0 * nu + 1.0) / nu * ln_w + (nu - 1.0) / nu * ln_one_w
-    return (eta / nu) * student_t_pdf(eta * (ratio_pow - sm.rho), nu + 1.0) * math.exp(
-        -ln_denom
-    )
+    return math.exp(math.log(eta / nu) + ln_t - (nu + 2.0) * excess - ln_denom)
 
 
 def h_density(sm: SpectralModel, w: float) -> float:
@@ -124,23 +130,29 @@ def spectral_tail_copula(sm: SpectralModel, x: float, y: float) -> float:
 
     The endpoint atoms contribute nothing because the min kernel vanishes
     there. Quadrature runs in the substituted variable and splits at the
-    kink q = (x/y)^(1/nu) (the image of w = y/(x+y)).
+    kink q = (x/y)^(1/nu) (the image of w = y/(x+y)), after ordering x <= y
+    (the tail copula is exchangeable), so the low part spans no more than
+    [0, 1] and cannot miss the mass near q = rho. The integrals are those of
+    Lambda(1, y/x), scaled by x, so the tolerances hold relative to min(x, y).
     """
     _check_quadrant(x, y)
     if x == 0.0 or y == 0.0:
         return 0.0
+    if x > y:
+        x, y = y, x
     nu, rho, eta = sm.nu, sm.rho, sm.eta
     q_kink = (x / y) ** (1.0 / nu)
 
     def low_part(q: float) -> float:
-        return eta * y * q**nu * student_t_pdf(eta * (q - rho), nu + 1.0)
+        # (y/x) q^nu, written so that neither factor overflows.
+        return eta * (q / q_kink) ** nu * student_t_pdf(eta * (q - rho), nu + 1.0)
 
     def high_part(q: float) -> float:
-        return eta * x * student_t_pdf(eta * (q - rho), nu + 1.0)
+        return eta * student_t_pdf(eta * (q - rho), nu + 1.0)
 
     low = integrate_adaptive(low_part, 0.0, q_kink, abs_tol=1e-10, rel_tol=1e-9)
     high = integrate_adaptive(high_part, q_kink, math.inf, abs_tol=1e-10, rel_tol=1e-9)
-    return low + high
+    return x * (low + high)
 
 
 def profile_kernel(sm: SpectralModel, a: float) -> float:
@@ -189,19 +201,16 @@ def smoothed_profile(sm: SpectralModel, s: float) -> float:
     Evaluated as the Laplace smoothing of the kernel, integral of
     e^{-|s+a|} k(a) da, split at the kink a = -s and truncated where the
     exponential envelope of k certifies the remainder is below 1e-16 of the
-    result scale.
+    result scale. The value is at most e^-|s|, so the integral is taken in
+    units of e^-|s| and the tolerances hold relative to that scale at every s.
     """
     if not math.isfinite(s):
         raise DomainError(f"smoothed_profile needs finite s, got {s}")
     half_width = abs(s) + 40.0
 
     def integrand(a: float) -> float:
-        return math.exp(-abs(s + a)) * profile_kernel(sm, a)
+        return math.exp(abs(s) - abs(s + a)) * profile_kernel(sm, a)
 
-    left = integrate_adaptive(
-        integrand, -half_width, -s, abs_tol=5e-11, rel_tol=1e-9
-    )
-    right = integrate_adaptive(
-        integrand, -s, half_width, abs_tol=5e-11, rel_tol=1e-9
-    )
-    return left + right
+    left = integrate_adaptive(integrand, -half_width, -s, abs_tol=5e-11, rel_tol=1e-9)
+    right = integrate_adaptive(integrand, -s, half_width, abs_tol=5e-11, rel_tol=1e-9)
+    return math.exp(-abs(s)) * (left + right)

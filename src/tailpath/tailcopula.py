@@ -88,6 +88,8 @@ def tail_copula_from_pickands(
     s = x + y
     if s == 0.0:
         return 0.0
+    if s == math.inf:  # x + y overflows: halve exactly, by homogeneity
+        return 2.0 * tail_copula_from_pickands(pickands, 0.5 * x, 0.5 * y)
     return s * (1.0 - pickands(y / s))
 
 
@@ -98,8 +100,8 @@ def tail_copula_tev(nu: float, rho: float, x: float, y: float) -> float:
                  + y T_{nu+1}(eta (rho - (x/y)^(-1/nu)))
     with eta = sqrt((nu+1)/(1-rho^2)).
     """
-    if not nu > 0.0:
-        raise DomainError(f"tail_copula_tev needs nu > 0, got {nu}")
+    if not 0.0 < nu < math.inf:
+        raise DomainError(f"tail_copula_tev needs finite nu > 0, got {nu}")
     if not -1.0 < rho < 1.0:
         raise DomainError(f"tail_copula_tev needs rho in (-1, 1), got {rho}")
     _check_quadrant(x, y)
@@ -120,23 +122,26 @@ def tail_copula_zero(x: float, y: float) -> float:
     return 0.0
 
 
+_LEVEL_FLOOR = 1e-5  # smallest level t (or u) of a tail limit; see default_t_sequence
+
+
 def default_t_sequence(x: float, y: float) -> list[float]:
     """Geometric t sequence {0.1 * 2^-k} for the numeric tail-copula limit.
 
     Capped so that t * max(x, y) <= 1 (the cdf stays on the unit square) and
-    floored at 1e-5, which bounds the amplification 1/t of the cdf's
-    absolute error in C(tx, ty)/t. Past max(x, y) = 25000 the cap leaves
+    floored at _LEVEL_FLOOR = 1e-5, which bounds the amplification 1/t of
+    the cdf's absolute error in C(tx, ty)/t. Past max(x, y) = 25000 the cap leaves
     fewer than three terms, and past 1e5 the one term left is the floor.
     """
     _check_quadrant(x, y)
     hi = min(0.1, 1.0 / max(x, y, 1e-300))
     seq = []
     t = hi
-    while t >= 1e-5:
+    while t >= _LEVEL_FLOOR:
         seq.append(t)
         t *= 0.5
     if not seq:
-        seq = [1e-5]
+        seq = [_LEVEL_FLOOR]
     return seq
 
 
@@ -309,7 +314,7 @@ def mtcm(tail: Callable[[float, float], float]) -> MtcmResult:
         push(a, ua, x, ux)
         push(x, ux, b, ub)
     env, h = max(-heap[0][0], u_top), _MTCM_REFINE
-    ref = maximize_1d(lambda s: profile(s)[0], best_s - h, best_s + h, n_grid=5, tol=1e-10)
+    ref = maximize_1d(lambda s: profile(s)[0], best_s - h, best_s + h, n_grid=5)
     best_f, best_s = max((best_f, best_s), (ref.max_value, ref.argmax))
     top = math.log(best_f)
     unique = all(-e <= top - stop or a - 2 * h <= best_s <= b + 2 * h for e, a, _, b, _, _ in heap)

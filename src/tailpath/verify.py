@@ -125,9 +125,7 @@ def t_bstar_suite() -> list[CheckResult]:
             _leq(f"t(nu={nu:g},rho={rho:g}) b_star vs 1", abs(res.b_star - 1.0), 1e-4)
         )
         sm = SpectralModel(nu, rho)
-        opt = maximize_1d(
-            lambda s: smoothed_profile(sm, s), -5.0, 5.0, n_grid=201, tol=1e-8
-        )
+        opt = maximize_1d(lambda s: smoothed_profile(sm, s), -5.0, 5.0, n_grid=201)
         out.append(
             _leq(f"t(nu={nu:g},rho={rho:g}) smoothed-profile argmax", abs(opt.argmax), 1e-3)
         )

@@ -93,6 +93,11 @@ class TestParseSchedule:
         with pytest.raises(ConfigError):
             parse_schedule(",")
 
+    @pytest.mark.parametrize("text", ["1.5", "0", "nan", "-0.1", "inf", "0.1,2"])
+    def test_rejects_levels_outside_unit_interval(self, text):
+        with pytest.raises(ConfigError):
+            parse_schedule(text)
+
 
 class TestExitCodes:
     def test_unknown_model_is_config_error(self, tmp_path, capsys):
@@ -182,6 +187,26 @@ class TestExitCodes:
         )
         assert proc.returncode in (2, 3), proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("schedule", ["1.5", "0", "nan"])
+    def test_singular_schedule_outside_unit_interval_is_config_error(self, schedule, tmp_path, capsys):
+        # singular_root rejected these with a DomainError, which exited 3.
+        argv = ["singular", "--model", "smo:alpha=0.35,beta=0.7", "--schedule", schedule]
+        assert main([*argv, "--out", str(tmp_path)]) == 2
+        assert "schedule" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["path", "sample", "spectral", "mtcm"])
+    def test_infinite_nu_is_config_error(self, command, tmp_path):
+        # nu = inf passed the nu > 0 check: path exited 3 on a NaN t argument
+        # and sample printed a numpy RuntimeWarning.
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tailpath.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "tailpath.cli", command, "--model", "t:nu=inf,rho=0.5",
+             "--out", str(tmp_path)],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
 
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 2

@@ -73,10 +73,7 @@ class TestDensity:
         total = interior_mass(sm)
         gaps = []
         for eps in (1e-3, 1e-6, 1e-9):
-            raw = integrate_adaptive(
-                lambda w: h_density(sm, w), eps, 1.0 - eps, abs_tol=1e-9,
-                max_subdivisions=2000,
-            )
+            raw = integrate_adaptive(lambda w: h_density(sm, w), eps, 1.0 - eps, abs_tol=1e-9)
             assert raw < total
             gaps.append(total - raw)
         assert gaps[0] > gaps[1] > gaps[2] > 0.0
@@ -133,6 +130,28 @@ class TestSpectralTailCopula:
         assert spectral_tail_copula(sm, 0.0, 1.0) == 0.0
         assert spectral_tail_copula(sm, 1.0, 0.0) == 0.0
 
+    @pytest.mark.parametrize("nu", [0.5, 2.0, 4.0])
+    @pytest.mark.parametrize("ratio", [1e-30, 1e30])
+    def test_extreme_ratio_matches_closed_form(self, nu, ratio):
+        # The low part once spanned [0, ratio^(1/nu)] and missed the mass near q = rho
+        # (2.7e-18 against 0.626 at nu = 0.5, x/y = 1e10).
+        sm = SpectralModel(nu, 0.3)
+        x, y = (ratio, 1.0) if ratio > 1.0 else (1.0, 1.0 / ratio)
+        assert spectral_tail_copula(sm, x, y) == pytest.approx(
+            tail_copula_tev(nu, 0.3, x, y), abs=1e-6
+        )
+
+    @pytest.mark.parametrize("nu,rho", [(2.5, 0.9), (4.5, 0.95)])
+    def test_relative_accuracy_at_tiny_scale(self, nu, rho):
+        # The integrals are taken in units of min(x, y), so tiny values keep
+        # their digits; with absolute tolerances they were off by 2-23%, and
+        # Lambda(5, 1e-300) came out as 0.
+        sm = SpectralModel(nu, rho)
+        for x, y in ((1e-20, 1.0), (4e-17, 2e6), (1e-200, 3e-200), (5.0, 1e-300)):
+            assert spectral_tail_copula(sm, x, y) == pytest.approx(
+                tail_copula_tev(nu, rho, x, y), rel=1e-9, abs=0.0
+            )
+
 
 class TestProfileKernel:
     @pytest.mark.parametrize("nu,rho", PAIRS)
@@ -172,6 +191,17 @@ class TestProfileKernel:
         sm = SpectralModel(4.0, 0.5)
         assert profile_kernel(sm, 400.0) == 0.0
 
+    @pytest.mark.parametrize("nu", [0.3, 0.9])
+    def test_density_power_law_below_nu_one(self, nu):
+        # For nu < 1, ((1-w)/w)^(1/nu) overflows as w -> 0 while h stays finite:
+        # there ln h(w) = ((1 - nu)/nu) ln w + const. The points straddle the
+        # switch to the shifted power law at ln((1-w)/w)^(1/nu) = 600.
+        sm = SpectralModel(nu, 0.3)
+        ln_ws = [-nu * 590.0, -nu * 599.0, -nu * 601.0, -nu * 700.0]
+        ln_hs = [math.log(h_density(sm, math.exp(lw))) for lw in ln_ws]
+        for (lw0, lh0), (lw1, lh1) in zip(zip(ln_ws, ln_hs), zip(ln_ws[1:], ln_hs[1:])):
+            assert (lh1 - lh0) / (lw1 - lw0) == pytest.approx((1.0 - nu) / nu, rel=1e-9)
+
     def test_t_density_scaling_identity(self):
         # the reflection that makes the kernel even, checked in raw form
         nu, rho = 4.0, 0.5
@@ -207,6 +237,14 @@ class TestSmoothedProfile:
             abs_tol=1e-10,
         )
         assert smoothed_profile(sm, 0.0) == pytest.approx(direct, abs=1e-8)
+
+    @pytest.mark.parametrize("s", [-30.0, 25.0])
+    def test_far_values_keep_relative_accuracy(self, s):
+        # Below the 5e-11 quadrature tolerance the value once carried no digits:
+        # 1.3e-13 at s = -30 for nu = 0.3, above its bound e^-30 = 9.4e-14.
+        for nu, rho in ((0.3, 0.3), (4.0, 0.5)):
+            want = tail_copula_tev(nu, rho, math.exp(s), math.exp(-s))
+            assert smoothed_profile(SpectralModel(nu, rho), s) == pytest.approx(want, rel=1e-9, abs=0.0)
 
     def test_matches_profile_tail_copula_value(self):
         # L(s) is the profile seen through the spectral representation:
