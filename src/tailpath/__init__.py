@@ -69,6 +69,7 @@ from .tailcopula import (
     mtcm,
     tail_copula_from_pickands,
     tail_copula_numeric,
+    tail_copula_sag,
     tail_copula_smo,
     tail_copula_tev,
     tail_copula_zero,
@@ -124,6 +125,7 @@ __all__ = [
     "survival",
     "tail_copula_from_pickands",
     "tail_copula_numeric",
+    "tail_copula_sag",
     "tail_copula_smo",
     "tail_copula_tev",
     "tail_copula_zero",

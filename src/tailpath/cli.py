@@ -277,19 +277,21 @@ def _emit_singular(
     return rows
 
 
+_ROW_BLOCK = 65536  # sample rows converted to Python floats at a time
+
+
 def _emit_sample(
     model: Copula, out: str, prefix: str, fmt: str, *, n: int, seed: int
 ) -> None:
     with _op(f"sampling {model.spec()}"):
         pts = model.sample(n, seed=seed)
-    write_csv(
-        os.path.join(out, f"{prefix}sample.csv"),
-        ("u", "v"),
-        [(float(a), float(b)) for a, b in pts],
-    )
+    # Rows are Python floats from tolist(), one block of the array at a time,
+    # so the table streams without a float() call per entry or a full copy.
+    rows = (row for i in range(0, len(pts), _ROW_BLOCK) for row in pts[i:i + _ROW_BLOCK].tolist())
+    write_csv(os.path.join(out, f"{prefix}sample.csv"), ("u", "v"), rows)
     if fmt == "svg":
         chart = svg_scatter(
-            [(float(a), float(b)) for a, b in pts],
+            pts.tolist(),
             title=f"{model.spec()}, n={n}",
             x_label="u",
             y_label="v",

@@ -157,7 +157,10 @@ def trace_path(model: Copula, u_schedule: Sequence[float] | None = None) -> Path
     the reported error: infinite when fewer than three points succeed.
     lambda_phi_star is a tail dependence coefficient, so it is clamped into
     [0, 1]: for a tail-independent model the extrapolation can land a
-    rounding error below 0. lambda_err is the unclamped estimate.
+    rounding error below 0. lambda_err is the unclamped estimate. b_limit
+    is a ratio of positive lengths: where the accelerated value leaves
+    (0, inf) (AsymGumbel(0.0019, 0.028, 463) gave -4.1e-11), b_limit is the
+    last ratio and b_err at least its distance from the accelerated value.
 
     Per-point cdf failures are recorded in failures and skipped rather than
     aborting the trace. When every point fails, ConvergenceError names the
@@ -176,6 +179,12 @@ def trace_path(model: Copula, u_schedule: Sequence[float] | None = None) -> Path
         raise ConvergenceError(f"every scheduled slice failed, first at u={u:g}: {reason}")
     lam, lam_err = aitken_limit([p.pi_over_u for p in points])
     b_lim, b_err = aitken_limit([p.ratio_b for p in points])
+    if not 0.0 < b_lim < math.inf:
+        # A ratio limit outside (0, inf) falls back to the last ratio, with
+        # an error wide enough to cover the accelerated value (NaN gives inf).
+        last = points[-1].ratio_b
+        gap = abs(b_lim - last)
+        b_lim, b_err = last, max(b_err, gap) if gap < math.inf else math.inf
     return PathResult(
         points=tuple(points),
         lambda_phi_star=min(max(lam, 0.0), 1.0),

@@ -3,6 +3,10 @@
 The shipped package deliberately carries no special-function dependency, so the
 Student-t distribution is built here from the regularized incomplete beta
 function (continued fraction, Lentz's method) and log-gamma, for every nu > 0.
+From a shape parameter of 100 on (nu >= 200), where the log-gamma
+difference and the fraction at arguments near 1 cancel, the difference comes
+from its asymptotic series and an argument past 1/2 is evaluated from its
+complement by Didonato and Morris's contracted fraction.
 The finite series of Abramowitz & Stegun 26.7.3-4 for integer nu is not used:
 it cancels in the lower tail (relative error up to 3e-11 at T = 3.7e-6 and
 9e-5 at T = 1e-12 for nu in 1..30), where the continued fraction holds 1e-14. The quantile is
@@ -23,12 +27,14 @@ bracket (1e-10) are fixed; callers choose only quadrature tolerances and grids.
 Scalar routines accept and return plain floats, and the grid scan runs on
 plain lists, so nothing here loads numpy until an array is built. The one
 array routine is a private twin of student_t_cdf that the Student-t sampler
-calls once per sample; it imports numpy when called and repeats the scalar
-arithmetic, so the two agree bit for bit.
+calls once per sample; it imports numpy when called, runs in blocks of
+65536 entries and repeats the scalar arithmetic, so the two agree bit for
+bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -100,7 +106,7 @@ def betainc_regularized(a: float, b: float, x: float, xc: float | None = None) -
     I_x(a, b) = 1 - I_{1-x}(b, a) applied when x is past the convergence
     crossover (a + 1) / (a + b + 2). The swap needs 1 - x, which cancels
     when x is near 1; a caller that can form it without cancelling passes
-    it as xc.
+    it as xc. From a shape of _LARGE_SHAPE on, _betainc_large takes over.
     """
     if not (a > 0.0 and b > 0.0):
         raise DomainError(f"betainc_regularized requires a, b > 0, got a={a}, b={b}")
@@ -108,30 +114,171 @@ def betainc_regularized(a: float, b: float, x: float, xc: float | None = None) -
         raise DomainError(f"betainc_regularized requires x in [0, 1], got {x}")
     if x == 0.0:
         return 0.0
+    if xc is None:
+        xc = 1.0 - x
+    elif not 0.0 <= xc <= 1.0:
+        raise DomainError(f"betainc_regularized requires xc in [0, 1], got {xc}")
+    if a >= _LARGE_SHAPE or b >= _LARGE_SHAPE:
+        return _betainc_large(a, b, x, xc)
     # x = 1 swaps even where the crossover rounds to 1 (b << a).
     if x == 1.0 or x > (a + 1.0) / (a + b + 2.0):
-        if xc is None:
-            xc = 1.0 - x
-        elif not 0.0 <= xc <= 1.0:
-            raise DomainError(f"betainc_regularized requires xc in [0, 1], got {xc}")
         return 1.0 if xc == 0.0 else 1.0 - _betainc_fraction(b, a, xc)
     return _betainc_fraction(a, b, x)
 
 
-def _betainc_fraction(a: float, b: float, x: float) -> float:
-    """I_x(a, b) by its continued fraction, for 0 < x < 1 below the crossover."""
+def _betainc_large(a: float, b: float, x: float, xc: float) -> float:
+    """betainc_regularized for a shape of at least _LARGE_SHAPE, 0 < x <= 1.
+
+    x > 1/2 is judged and evaluated by xc, which keeps the digits that x
+    rounded away: the swap test is xc < (b + 1) / (a + b + 2), and below the
+    crossover _betainc_contracted replaces the plain fraction. In the t cdf
+    at nu = 2e86, t = 6.8, z rounds to 1 while 1 - z = 2.3e-85 lies far above
+    the crossover's 1.5 / (a + 2.5); a test on z would swap, and the swapped
+    fraction, outside its range there, returns 1 + 1.8e-7.
+    """
+    if x > 0.5:
+        swap = xc < (b + 1.0) / (a + b + 2.0)
+    else:
+        swap = x > (a + 1.0) / (a + b + 2.0)
+    if swap:
+        if xc == 0.0:
+            return 1.0
+        a, b, x, xc = b, a, xc, x
+    if x > 0.5 and xc > 0.0:
+        value = _betainc_contracted(a, b, x, xc)
+    else:
+        value = _betainc_fraction(a, b, x, _ln_inv_beta(a, b))
+    return 1.0 - value if swap else value
+
+
+# Bernoulli numbers B_0 .. B_8, for _lgamma_shift's series.
+_BERNOULLI = (1.0, -0.5, 1.0 / 6.0, 0.0, -1.0 / 30.0, 0.0, 1.0 / 42.0, 0.0, -1.0 / 30.0)
+
+# lgamma overflows past this argument.
+_LGAMMA_MAX = 2.5599833278516383e305
+
+# From this larger shape parameter on, the incomplete beta and the t density
+# take their large-shape forms: _lgamma_shift's series, and for x > 1/2 the
+# swap test and _betainc_contracted on 1 - x.
+_LARGE_SHAPE = 100.0
+
+
+def _lgamma_shift(a: float, b: float) -> float:
+    """ln Gamma(a + b) - ln Gamma(a) for a >= _LARGE_SHAPE and 0 < b <= 1.
+
+    The two lgamma values are near a ln a and cancel down to about b ln a:
+    1.3e-6 relative is lost at a = 5e9, b = 1/2. So the difference is the
+    asymptotic series
+    b ln a + sum_{k=1..8} (-1)^(k+1) (B_{k+1}(b) - B_{k+1}(0)) / (k (k+1) a^k),
+    with B_n the Bernoulli polynomials, within 3e-16 relative of mpmath at
+    b = 1/2 for a >= 25.5.
+
+    Past a = _LGAMMA_MAX it raises OverflowError as lgamma does, though the
+    series itself would not overflow, so the range of every shape stays
+    lgamma's (the t routines raise ConvergenceError past nu = 5.1e305).
+    """
+    if a > _LGAMMA_MAX:
+        raise OverflowError("math range error")
+    acc = 0.0
+    for coeff in _lgamma_shift_coeffs(b):
+        acc = coeff + acc / a
+    return b * math.log(a) + acc / a
+
+
+@functools.lru_cache(maxsize=8)
+def _lgamma_shift_coeffs(b: float) -> tuple[float, ...]:
+    """_lgamma_shift's series coefficients at b, for k = 8 down to 1.
+
+    Each is (-1)^(k+1) (B_{k+1}(b) - B_{k+1}(0)) / (k (k+1)), with
+    B_{k+1}(b) - B_{k+1}(0) = sum_{j <= k} C(k+1, j) B_j b^(k+1-j). They
+    depend on b alone, and the package passes only b = 1/2.
+    """
+    coeffs = []
+    for k in range(8, 0, -1):
+        diff = sum(math.comb(k + 1, j) * _BERNOULLI[j] * b ** (k + 1 - j) for j in range(k + 1))
+        coeffs.append((diff if k % 2 else -diff) / (k * (k + 1)))
+    return tuple(coeffs)
+
+
+def _ln_inv_beta(a: float, b: float) -> float:
+    """-ln B(a, b) = ln Gamma(a + b) - ln Gamma(a) - ln Gamma(b).
+
+    From a larger shape of _LARGE_SHAPE on, with the smaller at most 1, the
+    difference for the larger shape comes from _lgamma_shift.
+    """
     try:
-        ln_front = (
-            math.lgamma(a + b)
-            - math.lgamma(a)
-            - math.lgamma(b)
-            + a * math.log(x)
-            + b * math.log1p(-x)
-        )
+        if a >= _LARGE_SHAPE and b <= 1.0:
+            return _lgamma_shift(a, b) - math.lgamma(b)
+        if b >= _LARGE_SHAPE and a <= 1.0:
+            return _lgamma_shift(b, a) - math.lgamma(a)
+        return math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
     except OverflowError:  # lgamma overflows past 2.6e305
         raise ConvergenceError(
             f"incomplete beta for a={a}, b={b} lies beyond floating-point range"
         ) from None
+
+
+def _betainc_contracted(a: float, b: float, x: float, xc: float) -> float:
+    """I_x(a, b) for x > 1/2 below the crossover, a large shape, from xc = 1 - x.
+
+    There the modified-Lentz steps of _betainc_fraction form 1 - x times
+    nearly 1 at every odd step, so the rounding of x, 1e-16 absolute, comes
+    back relative to 1 - x: at nu = 1e10, t = -5 the t cdf's z is
+    1 - 2.5e-9 and the value is 8e-8 off. This is the even contraction of
+    the same fraction as in Didonato and Morris's BFRAC (ACM TOMS 18, 1992,
+    Algorithm 708), whose coefficients take x only through
+    lambda = (a + b) xc - b > 0 and xc + 1, which keep their digits; the
+    front likewise takes ln x as log1p(-xc) and ln(1 - x) as ln xc.
+    """
+    front = math.exp(_ln_inv_beta(a, b) + a * math.log1p(-xc) + b * math.log(xc))
+    c = 1.0 + (a + b) * xc - b
+    c0 = b / a
+    c1 = 1.0 + 1.0 / a
+    yp1 = xc + 1.0
+    p, s = 1.0, a + 1.0
+    # Wallis recurrences for 1 / (c / c1 + alpha_1 / (beta_1 + ...)),
+    # rescaled each step so that the denominator is 1.
+    an, bn, anp1, bnp1 = 0.0, 1.0, 1.0, c / c1
+    r = c1 / c
+    n = 0.0
+    while n < 300.0:
+        n += 1.0
+        t = n / a
+        w = n * (b - n) * x
+        e = a / s
+        alpha = (p * (p + c0) * e * e) * (w * x)
+        e = (1.0 + t) / (c1 + t + t)
+        beta = n + w / s + e * (c + n * yp1)
+        p = 1.0 + t
+        s += 2.0
+        an, anp1 = anp1, alpha * an + beta * anp1
+        bn, bnp1 = bnp1, alpha * bn + beta * bnp1
+        r0, r = r, anp1 / bnp1
+        if abs(r - r0) <= 2.0 * _EPS * r:
+            return front * r
+        an, bn, anp1, bnp1 = an / bnp1, bn / bnp1, r, 1.0
+    raise ConvergenceError(
+        f"incomplete beta continued fraction stalled for a={a}, b={b}, x={x}"
+    )
+
+
+def _betainc_fraction(
+    a: float, b: float, x: float, ln_inv_beta: float | None = None
+) -> float:
+    """I_x(a, b) by its continued fraction, for 0 < x < 1 below the crossover.
+
+    ln_inv_beta is -ln B(a, b), which _betainc_large passes from
+    _ln_inv_beta; without it the plain lgamma difference is formed here, as
+    every shape below _LARGE_SHAPE needs, without a further call.
+    """
+    if ln_inv_beta is None:
+        try:
+            ln_inv_beta = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+        except OverflowError:  # lgamma overflows past 2.6e305
+            raise ConvergenceError(
+                f"incomplete beta for a={a}, b={b} lies beyond floating-point range"
+            ) from None
+    ln_front = ln_inv_beta + a * math.log(x) + b * math.log1p(-x)
     front = math.exp(ln_front)
 
     # m counts in floats and the guards |v| < eps are written -eps < v < eps:
@@ -207,12 +354,13 @@ def _student_t_ln_pdf(x: float, nu: float, ln_norm: float | None = None) -> floa
 
 def _student_t_ln_norm(nu: float) -> float:
     """ln of the Student-t density at 0."""
+    a = 0.5 * nu
     try:
-        return (
-            math.lgamma(0.5 * (nu + 1.0))
-            - math.lgamma(0.5 * nu)
-            - 0.5 * math.log(nu * math.pi)
-        )
+        if a >= _LARGE_SHAPE:
+            shift = _lgamma_shift(a, 0.5)
+        else:
+            shift = math.lgamma(0.5 * (nu + 1.0)) - math.lgamma(a)
+        return shift - 0.5 * math.log(nu * math.pi)
     except OverflowError:  # lgamma overflows past 2.6e305
         raise ConvergenceError(
             f"t density for nu={nu} lies beyond floating-point range"
@@ -273,21 +421,31 @@ def _betainc_array(a: float, b: float, x: np.ndarray, xc: np.ndarray) -> np.ndar
     """
     import numpy as np
 
+    large = a >= _LARGE_SHAPE or b >= _LARGE_SHAPE  # as in betainc_regularized
     swap = (x == 1.0) | (x > (a + 1.0) / (a + b + 2.0))
+    if large:
+        swap = np.where(x > 0.5, xc < (b + 1.0) / (a + b + 2.0), swap)
     xs = np.where(swap, xc, x)
     # x = 0 and a swapped xc = 0 stay inactive with value 0, which the swap
     # turns into the scalar routine's 0 and 1; their placeholder 0.5 is never
     # read. Entries below the crossover have x < 1.
     active = xs > 0.0
-    xs = np.where(active, xs, 0.5)
     pairs = ((a, b), (b, a))  # an entry's (a, b), indexed by its swap flag
-    lgamma, log, log1p, exp = math.lgamma, math.log, math.log1p, math.exp
-    try:
-        norm = [lgamma(p + q) - lgamma(p) - lgamma(q) for p, q in pairs]
-    except OverflowError:  # lgamma overflows past 2.6e305
-        raise ConvergenceError(
-            f"incomplete beta for a={a}, b={b} lies beyond floating-point range"
-        ) from None
+    # From _LARGE_SHAPE on, entries past 1/2 take _betainc_contracted as the
+    # scalar routine does, one call each; they leave the array loop.
+    if large:
+        tc = np.where(swap, x, xc)
+        contracted = active & (xs > 0.5) & (tc > 0.0)
+        contracted_values = [
+            _betainc_contracted(*pairs[s], t, u)
+            for t, u, s in zip(
+                xs[contracted].tolist(), tc[contracted].tolist(), swap[contracted].tolist()
+            )
+        ]
+        active &= ~contracted
+    xs = np.where(active, xs, 0.5)
+    log, log1p, exp = math.log, math.log1p, math.exp
+    norm = [_ln_inv_beta(p, q) for p, q in pairs]
     front = np.array([
         exp(norm[s] + pairs[s][0] * log(t) + pairs[s][1] * log1p(-t))
         for t, s in zip(xs.tolist(), swap.tolist())
@@ -341,30 +499,46 @@ def _betainc_array(a: float, b: float, x: np.ndarray, xc: np.ndarray) -> np.ndar
             f"incomplete beta continued fraction stalled for a={a}, b={b}, "
             f"x={x[active][0]}"
         )
+    if large:
+        value[contracted] = contracted_values
     return np.where(swap, 1.0 - value, value)
 
 
+# Entries of _student_t_cdf_array taken per pass; each pass's temporaries
+# hold a few arrays of this length, not of the whole input.
+_T_CDF_BLOCK = 65536
+
+
 def _student_t_cdf_array(x: np.ndarray, nu: float) -> np.ndarray:
-    """student_t_cdf over an array of x, equal entry by entry to the scalar calls."""
+    """student_t_cdf over a 1-d array of x, equal entry by entry to the scalar calls.
+
+    It runs in blocks of _T_CDF_BLOCK entries. Entries never interact, so
+    the blocking changes no bit; it bounds the continued fraction's working
+    arrays, which at a million entries would take several times the input.
+    """
     import numpy as np
 
     if not nu > 0.0:
         raise DomainError(f"student_t_cdf requires nu > 0, got {nu}")
     x = np.asarray(x, dtype=float)
-    if np.isnan(x).any():
-        raise DomainError("student_t_cdf got NaN argument")
-    # x = 0 gives z = 1 and 1 - z = 0, which _betainc_array maps to the
-    # scalar routine's 1. Entries past _T_FAR, infinities included, take the
-    # scalar routine; x^2 may overflow there, and its complement be NaN.
-    far = np.abs(x) > _T_FAR
-    with np.errstate(over="ignore", invalid="ignore"):
-        x2 = x * x
-        z = nu / (nu + x2)
-        w = x2 / (nu + x2)
-    half_tail = 0.5 * _betainc_array(0.5 * nu, 0.5, z, w)
-    out = np.where(x > 0.0, 1.0 - half_tail, half_tail)
-    if far.any():
-        out[far] = [student_t_cdf(t, nu) for t in x[far].tolist()]
+    out = np.empty_like(x)
+    for i in range(0, len(x), _T_CDF_BLOCK):
+        xb = x[i:i + _T_CDF_BLOCK]
+        if np.isnan(xb).any():
+            raise DomainError("student_t_cdf got NaN argument")
+        # x = 0 gives z = 1 and 1 - z = 0, which _betainc_array maps to the
+        # scalar routine's 1. Entries past _T_FAR, infinities included, take
+        # the scalar routine; x^2 may overflow there, and its complement be NaN.
+        far = np.abs(xb) > _T_FAR
+        with np.errstate(over="ignore", invalid="ignore"):
+            x2 = xb * xb
+            z = nu / (nu + x2)
+            w = x2 / (nu + x2)
+        half_tail = 0.5 * _betainc_array(0.5 * nu, 0.5, z, w)
+        ob = out[i:i + _T_CDF_BLOCK]
+        ob[:] = np.where(xb > 0.0, 1.0 - half_tail, half_tail)
+        if far.any():
+            ob[far] = [student_t_cdf(t, nu) for t in xb[far].tolist()]
     return out
 
 

@@ -3,17 +3,21 @@
 CSV is the canonical output format: header row always present, floats at 17
 significant digits so round-tripping is lossless. All writers stage to a
 temporary file in the destination directory and os.replace() it into place,
-so readers never observe a half-written file. SVG charts are hand-rolled
-polyline/circle markup, enough to eyeball a curve, not a plotting library.
+so readers never observe a half-written file. Tables stream into the staged
+file line by line, so a table is never held as one string: rows may come
+from a generator, and only the line being formatted is in memory. SVG
+charts are hand-rolled polyline/circle markup, enough to eyeball a curve,
+not a plotting library.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
 import tempfile
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 __all__ = [
     "fmt_float",
@@ -33,14 +37,19 @@ def fmt_float(x: object) -> str:
     return str(x)
 
 
-def write_text(path: str, text: str) -> None:
-    """Write text atomically: temp file in the same directory, then rename."""
+@contextlib.contextmanager
+def _staged(path: str) -> Iterator[TextIO]:
+    """A text handle on a temp file beside path, moved onto path on success.
+
+    The temp file is unlinked if the body raises, so neither the target nor
+    a .tmp-*~ file is left by a failed write.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            yield handle
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -48,11 +57,17 @@ def write_text(path: str, text: str) -> None:
         raise
 
 
+def write_text(path: str, text: str) -> None:
+    """Write text atomically: temp file in the same directory, then rename."""
+    with _staged(path) as handle:
+        handle.write(text)
+
+
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt_float(cell) for cell in row))
-    write_text(path, "\n".join(lines) + "\n")
+    """Write a header line and one line per row, streamed into the staged file."""
+    with _staged(path) as handle:
+        handle.write(",".join(header) + "\n")
+        handle.writelines(",".join([fmt_float(cell) for cell in row]) + "\n" for row in rows)
 
 
 def write_json(path: str, obj: object) -> None:

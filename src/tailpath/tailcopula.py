@@ -2,9 +2,10 @@
 
 The (lower) tail copula of a copula C is the limit of C(tx, ty)/t as t drops
 to 0. This module provides the closed forms available for the families in
-:mod:`tailpath.copulas` (survival Marshall-Olkin, survival extreme-value via a
-Pickands function, Student-t), a numeric-limit fallback for any model with an
-evaluable cdf, and the MTCM solver, which maximizes the profile b mapsto
+:mod:`tailpath.copulas` (survival Marshall-Olkin, survival asymmetric
+Gumbel, survival extreme-value via any Pickands function, Student-t), a
+numeric-limit fallback for any model with an evaluable cdf, and the MTCM
+solver, which maximizes the profile b mapsto
 Lambda(b, 1/b) over unit-area rectangles and reports the maximizer b_star and
 maximum lambda_star. Order-1 homogeneity makes the log profile 1-Lipschitz
 in ln b, so the solver's Piyavskii-Shubert search certifies lambda_star to
@@ -47,6 +48,7 @@ __all__ = [
     "mtcm",
     "tail_copula_from_pickands",
     "tail_copula_numeric",
+    "tail_copula_sag",
     "tail_copula_smo",
     "tail_copula_tev",
     "tail_copula_zero",
@@ -74,6 +76,33 @@ def tail_copula_smo(alpha: float, beta: float, x: float, y: float) -> float:
     return by if by < ax else ax
 
 
+def tail_copula_sag(alpha: float, beta: float, theta: float, x: float, y: float) -> float:
+    """Tail copula of the survival asymmetric Gumbel copula.
+
+    Lambda(x, y) = alpha x + beta y - ||(alpha x, beta y)||_theta. With P the
+    larger of alpha x and beta y and Q the smaller, it is written
+    Q - P ((1 + (Q/P)^theta)^(1/theta) - 1) and the bracket is formed with
+    log1p and expm1, as AsymGumbel._survival_cdf forms its exponent, so
+    nothing cancels however far x/y is from 1. The value lies in [0, Q].
+    The survival cdf keeps its own copy of the expression: a shared helper
+    would add a call to every cdf evaluation, ~8% of that kernel.
+    """
+    if not (0.0 < alpha <= 1.0 and 0.0 < beta <= 1.0 and theta > 1.0):
+        raise DomainError(
+            f"tail_copula_sag needs alpha, beta in (0, 1] and theta > 1, "
+            f"got ({alpha}, {beta}, {theta})"
+        )
+    _check_quadrant(x, y)
+    p, q = alpha * x, beta * y
+    if p < q:
+        p, q = q, p
+    if q == 0.0:
+        return 0.0
+    h = q - p * math.expm1(math.log1p((q / p) ** theta) / theta)
+    # h >= 0, but a theta within a few ulps of 1 can round it below 0.
+    return h if h > 0.0 else 0.0
+
+
 def tail_copula_from_pickands(
     pickands: Callable[[float], float], x: float, y: float
 ) -> float:
@@ -82,7 +111,10 @@ def tail_copula_from_pickands(
     Lambda(x, y) = x + y - l(x, y) with the stable tail dependence function
     l(x, y) = (x + y) A(y / (x + y)). Any callable A on [0, 1] is accepted;
     with the exact lower bound A(w) = max(w, 1-w) this reduces to min(x, y),
-    and A identically 1 gives the degenerate zero tail.
+    and A identically 1 gives the degenerate zero tail. 1 - A cancels where
+    one argument dwarfs the other (past x/y ~ 1e16), so the value is clamped
+    into its range [0, min(x, y)]; tail_copula_sag is the survival
+    asymmetric Gumbel's cancellation-free form.
     """
     _check_quadrant(x, y)
     s = x + y
@@ -90,7 +122,9 @@ def tail_copula_from_pickands(
         return 0.0
     if s == math.inf:  # x + y overflows: halve exactly, by homogeneity
         return 2.0 * tail_copula_from_pickands(pickands, 0.5 * x, 0.5 * y)
-    return s * (1.0 - pickands(y / s))
+    value = s * (1.0 - pickands(y / s))
+    lo_xy = y if y < x else x
+    return 0.0 if value < 0.0 else (value if value < lo_xy else lo_xy)
 
 
 def tail_copula_tev(nu: float, rho: float, x: float, y: float) -> float:
@@ -220,7 +254,9 @@ def analytic_tail_copula(model: Copula) -> Callable[[float, float], float]:
             return partial(tail_copula_smo, base.alpha, base.beta)
         return tail_copula_zero
     if isinstance(base, AsymGumbel):
-        return partial(tail_copula_from_pickands, base.pickands) if surv else tail_copula_zero
+        if surv:
+            return partial(tail_copula_sag, base.alpha, base.beta, base.theta)
+        return tail_copula_zero
     if isinstance(base, StudentT):
         return partial(tail_copula_tev, base.nu, base.rho)
     if isinstance(base, Comonotone):

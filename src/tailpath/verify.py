@@ -51,6 +51,7 @@ from .tailcopula import (
     NumericTailCopula,
     mtcm,
     tail_copula_from_pickands,
+    tail_copula_sag,
     tail_copula_smo,
     tail_copula_tev,
 )
@@ -108,11 +109,17 @@ def smo_mtcm_suite() -> list[CheckResult]:
 
 
 def ag_mtcm_suite() -> list[CheckResult]:
-    """MTCM of the survival asymmetric Gumbel model via its Pickands form."""
-    res = mtcm(partial(tail_copula_from_pickands, PickandsFn(0.35, 0.7, 2.0)))
+    """MTCM of the survival asymmetric Gumbel model via its closed form and its Pickands form."""
+    res = mtcm(partial(tail_copula_sag, 0.35, 0.7, 2.0))
+    pick = mtcm(partial(tail_copula_from_pickands, PickandsFn(0.35, 0.7, 2.0)))
     return [
         _leq("sag(0.35,0.7,2) b_star", abs(res.b_star - math.sqrt(2.0)), 1e-4),
         _check("sag(0.35,0.7,2) unique flag", res.unique, str(res.unique)),
+        _leq(
+            "sag(0.35,0.7,2) lambda_star, closed form vs Pickands form",
+            abs(res.lambda_star / pick.lambda_star - 1.0),
+            1e-12,
+        ),
     ]
 
 

@@ -201,6 +201,20 @@ class TestTracePath:
         assert path.lambda_phi_star == 0.0
         assert path.lambda_err == lam_err
 
+    @pytest.mark.parametrize(
+        "model, schedule",
+        [(AsymGumbel(0.0019, 0.028, 463.0), None), (MarshallOlkin(0.73, 0.68), [1e-1, 1e-2, 1e-3])],
+        ids=["ag", "mo"],
+    )
+    def test_b_limit_stays_positive(self, model, schedule):
+        # Aitken's value on the ratios phi*/u read -4.1e-11 and -3.8e-9 here.
+        path = trace_path(model, schedule)
+        last = path.points[-1].ratio_b
+        b_lim, _ = aitken_limit([p.ratio_b for p in path.points])
+        assert b_lim < 0.0
+        assert path.b_limit == last > 0.0
+        assert path.b_err >= abs(b_lim - last)
+
     def test_short_schedule_reports_infinite_error(self):
         path = trace_path(Comonotone(), [0.1, 0.05])
         assert math.isinf(path.lambda_err)

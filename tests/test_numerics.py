@@ -27,6 +27,32 @@ from tailpath.spectral import SpectralModel, spectral_tail_copula
 from tailpath.tailcopula import tail_copula_tev
 
 
+# (nu, x): (T_nu(x), t_nu(x)) from mpmath at 40 digits, the cdf through
+# betainc(nu/2, 1/2, 0, nu / (nu + x^2)) / 2 and the pdf through loggamma.
+LARGE_NU_REFERENCE = {
+    (1000.0, -5.0): (3.3836281823243153e-07, 1.7120122333122448e-06),
+    (1000.0, -1.0): (0.15877620904233616, 0.24184978955233824),
+    (1000.0, -0.01): (0.4960116409660936, 0.3988225957444051),
+    (1000.0, 0.3): (0.617880247916378, 0.38127609547338126),
+    (1000.0, 2.0): (0.9771148267533741, 0.05408517400975593),
+    (100000.0, -5.0): (2.8713508393208365e-07, 1.4888541243250869e-06),
+    (100000.0, -1.0): (0.158656463782055, 0.2419695146705618),
+    (100000.0, -0.01): (0.4960106536594116, 0.3989213362820436),
+    (100000.0, 0.3): (0.6179111104048312, 0.3813866980912812),
+    (100000.0, 2.0): (0.9772485182712468, 0.05399191132737599),
+    (10000000.0, -5.0): (2.8665640375042696e-07, 1.4867408492760154e-06),
+    (10000000.0, -1.0): (0.15865526602999297, 0.24197071242060764),
+    (10000000.0, -0.01): (0.49601064378510895, 0.39892232381102943),
+    (10000000.0, 0.3): (0.6179114190711072, 0.38138780428681474),
+    (10000000.0, 2.0): (0.9772498545540785, 0.05399097596160442),
+    (10000000000.0, -5.0): (2.8665157671103237e-07, 1.4867195360687228e-06),
+    (10000000000.0, -1.0): (0.1586552539435556, 0.24197072450704482),
+    (10000000000.0, -0.01): (0.49601064368546816, 0.3989223337761071),
+    (10000000000.0, 0.3): (0.6179114221858348, 0.38138781544935035),
+    (10000000000.0, 2.0): (0.977249868038323, 0.05399096652263647),
+}
+
+
 class TestStudentT:
     @pytest.mark.parametrize("nu", [1.0, 2.0, 3.0, 4.0, 5.0, 10.0, 11.0, 25.0])
     def test_cdf_against_scipy(self, nu):
@@ -284,6 +310,27 @@ class TestStudentT:
         with pytest.raises(TailPathError):
             call()
 
+    @pytest.mark.parametrize("nu", [0.5, 4.0, 4.5, 300.0, 1e10])
+    def test_cdf_array_equals_scalar_across_blocks(self, nu, monkeypatch):
+        # Blocks of 7 entries: 50 entries span 8 blocks, with the specials
+        # (0, +-inf, +-1e200) at and around block boundaries.
+        monkeypatch.setattr(numerics, "_T_CDF_BLOCK", 7)
+        xs = np.random.default_rng(19).standard_normal(50) * 4.0
+        xs[[0, 6, 7, 13, 14, 20, 49]] = [0.0, np.inf, -np.inf, 1e200, -1e200, -0.0, 1e-300]
+        got = _student_t_cdf_array(xs, nu)
+        want = [student_t_cdf(float(t), nu) for t in xs]
+        assert got.tolist() == want
+
+    @pytest.mark.parametrize("nu, x, cdf, pdf", [
+        (nu, x, *values) for (nu, x), values in LARGE_NU_REFERENCE.items()
+    ])
+    def test_large_nu_against_mpmath(self, nu, x, cdf, pdf):
+        # lgamma(a + 1/2) - lgamma(a) and a ln z cancelled here: at nu = 1e10
+        # the cdf was 1.5e-5 off and the pdf 1.5e-5.
+        assert student_t_cdf(x, nu) == pytest.approx(cdf, rel=1e-13)
+        assert _student_t_cdf_array(np.array([x]), nu)[0] == student_t_cdf(x, nu)
+        assert student_t_pdf(x, nu) == pytest.approx(pdf, rel=1e-13)
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             student_t_cdf(0.0, -1.0)
@@ -296,7 +343,9 @@ def _betainc_fraction_reference(a, b, x):
 
     numerics._betainc_fraction does the same IEEE operations in the same
     order with a float counter and chained comparisons, so the two must agree
-    bit for bit.
+    bit for bit. Called without its front, the routine forms the lgamma
+    difference as here; the large-shape front that _betainc_large passes in
+    is checked against mpmath in TestBetainc.
     """
     try:
         ln_front = (
@@ -349,6 +398,40 @@ def _betainc_fraction_reference(a, b, x):
     )
 
 
+# (a, b): (lgamma(a + b) - lgamma(a), lgamma(a + b) - lgamma(a) - lgamma(b))
+# from mpmath at 40 digits, for the large-shape series at b != 1/2.
+LGAMMA_SHIFT_REFERENCE = {
+    (100.0, 0.05): (0.23002065324149126, -2.7388585478102394),
+    (100.0, 0.3): (1.3805003594827323, 0.28470236466465687),
+    (100.0, 0.77): (3.5450963427622573, 3.3630311741017205),
+    (100.0, 1.0): (4.605170185988092, 4.605170185988092),
+    (1234.5, 0.05): (0.3559018245436278, -2.612977376508103),
+    (1234.5, 0.3): (2.1354413333663116, 1.039643338548236),
+    (1234.5, 0.77): (5.481112683550264, 5.299047514889727),
+    (98765.4321, 0.05): (0.5750249067800934, -2.3938542942716374),
+    (98765.4321, 0.3): (3.4501498203695338, 2.354351825551458),
+    (33000000.0, 0.77): (13.330253949278347, 13.148188780617811),
+    (10000000000.0, 0.05): (1.151292546494648, -1.817586654557083),
+    (10000000000.0, 0.3): (6.907755278971637, 5.811957284153562),
+    (10000000000.0, 1.0): (23.025850929940457, 23.025850929940457),
+}
+
+# (a, b, x): I_x(a, b) from mpmath at 40 digits, on the large-shape path.
+LARGE_SHAPE_BETAINC_REFERENCE = [
+    (300.0, 0.3, 0.97002997002997, 7.292821726607636e-06),
+    (300.0, 0.3, 0.997002997002997, 0.09783503418195771),
+    (300.0, 0.3, 0.9997002997002997, 0.47018793975003376),
+    (300.0, 0.3, 0.999999000999001, 0.9023203928370388),
+    (0.77, 2500.0, 0.009237154956273468, 0.9999999999663103),
+    (0.77, 2500.0, 0.0003079051652091156, 0.6496565253529546),
+    (0.77, 2500.0, 3.0790516520911565e-07, 0.0043328485550133316),
+    (1000000.0, 0.05, 0.999998500000075, 0.005335591247767409),
+    (1000000.0, 0.05, 0.9999999850000008, 0.16793441338636067),
+    (0.9, 450000000.0, 5.999999988000001e-09, 0.9446442429334698),
+    (0.9, 450000000.0, 1.9999999960000005e-12, 0.001886095948253),
+]
+
+
 def _betainc_fraction_grid():
     """Seeded (a, b, x) triples: each (a, b) pair also swapped, x up to the crossover."""
     rng = np.random.default_rng(15)
@@ -377,6 +460,17 @@ class TestBetainc:
         for a, b, x in grid:
             want = _betainc_fraction_reference(a, b, x)
             assert numerics._betainc_fraction(a, b, x) == want, (a, b, x)
+
+    @pytest.mark.parametrize("a, b", list(LGAMMA_SHIFT_REFERENCE))
+    def test_large_shape_series_against_mpmath(self, a, b):
+        shift, ln_inv_beta = LGAMMA_SHIFT_REFERENCE[a, b]
+        assert numerics._lgamma_shift(a, b) == pytest.approx(shift, rel=2e-15)
+        assert numerics._ln_inv_beta(a, b) == pytest.approx(ln_inv_beta, rel=1e-14)
+        assert numerics._ln_inv_beta(b, a) == numerics._ln_inv_beta(a, b)
+
+    @pytest.mark.parametrize("a, b, x, want", LARGE_SHAPE_BETAINC_REFERENCE)
+    def test_large_shapes_against_mpmath(self, a, b, x, want):
+        assert betainc_regularized(a, b, x) == pytest.approx(want, rel=1e-13)
 
 
 class TestIntegrateAdaptive:

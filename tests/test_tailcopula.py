@@ -26,12 +26,40 @@ from tailpath.tailcopula import (
     mtcm,
     tail_copula_from_pickands,
     tail_copula_numeric,
+    tail_copula_sag,
     tail_copula_smo,
     tail_copula_tev,
     tail_copula_zero,
 )
 
 SMO = partial(tail_copula_smo, 0.35, 0.7)
+
+# ((alpha, beta, theta), x, y, Lambda) for the survival asymmetric Gumbel,
+# from mpmath at 1200 digits as alpha x + beta y - ||(alpha x, beta y)||_theta;
+# x/y runs over 1, 1e16, 1e100 and 1e300 and their inverses.
+SAG_REFERENCE = [
+    ((0.618, 0.934, 2.71), 1.0, 1.0, 0.5153519115260243),
+    ((0.618, 0.934, 2.71), 100000000.0, 1e-08, 9.340000000000001e-09),
+    ((0.618, 0.934, 2.71), 1e-08, 100000000.0, 6.18e-09),
+    ((0.618, 0.934, 2.71), 1e+50, 1e-50, 9.34e-51),
+    ((0.618, 0.934, 2.71), 1e-50, 1e+50, 6.18e-51),
+    ((0.618, 0.934, 2.71), 1e+150, 1e-150, 9.340000000000001e-151),
+    ((0.618, 0.934, 2.71), 1e-150, 1e+150, 6.18e-151),
+    ((0.35, 0.7, 2.0), 1.0, 1.0, 0.2673762078750736),
+    ((0.35, 0.7, 2.0), 100000000.0, 1e-08, 6.999999999999999e-09),
+    ((0.35, 0.7, 2.0), 1e-08, 100000000.0, 3.5e-09),
+    ((0.35, 0.7, 2.0), 1e+50, 1e-50, 7e-51),
+    ((0.35, 0.7, 2.0), 1e-50, 1e+50, 3.5e-51),
+    ((0.35, 0.7, 2.0), 1e+150, 1e-150, 7e-151),
+    ((0.35, 0.7, 2.0), 1e-150, 1e+150, 3.5e-151),
+    ((0.5, 0.9, 1.05), 1.0, 1.0, 0.04265528687087115),
+    ((0.5, 0.9, 1.05), 100000000.0, 1e-08, 7.601002831106834e-09),
+    ((0.5, 0.9, 1.05), 1e-08, 100000000.0, 4.267146645640293e-09),
+    ((0.5, 0.9, 1.05), 1e+50, 1e-50, 8.999911729246139e-51),
+    ((0.5, 0.9, 1.05), 1e-50, 1e+50, 4.999953760079364e-51),
+    ((0.5, 0.9, 1.05), 1e+150, 1e-150, 8.999999999999991e-151),
+    ((0.5, 0.9, 1.05), 1e-150, 1e+150, 4.999999999999995e-151),
+]
 
 
 class TestClosedForms:
@@ -55,6 +83,35 @@ class TestClosedForms:
     def test_pickands_independent_bound(self):
         aone = lambda w: 1.0
         assert tail_copula_from_pickands(aone, 1.5, 2.0) == pytest.approx(0.0, abs=1e-14)
+
+    @pytest.mark.parametrize("params, x, y, want", SAG_REFERENCE)
+    def test_sag_against_mpmath(self, params, x, y, want):
+        assert tail_copula_sag(*params, x, y) == pytest.approx(want, rel=1e-13)
+
+    def test_sag_matches_pickands_form_where_it_does_not_cancel(self):
+        pick = PickandsFn(0.35, 0.7, 2.0)
+        for x, y in ((1.0, 1.0), (2.0, 0.5), (0.3, 3.0), (1e-200, 3e-200)):
+            want = tail_copula_from_pickands(pick, x, y)
+            assert tail_copula_sag(0.35, 0.7, 2.0, x, y) == pytest.approx(want, rel=1e-14)
+
+    def test_sag_rejects_bad_parameters(self):
+        for params in ((0.0, 0.5, 2.0), (0.5, 1.5, 2.0), (0.5, 0.5, 1.0), (0.5, 0.5, math.nan)):
+            with pytest.raises(DomainError):
+                tail_copula_sag(*params, 1.0, 1.0)
+
+    def test_pickands_forms_stay_in_range(self):
+        # s (1 - A(y/s)) cancels past x/y ~ 1e16: PickandsFn(0.618, 0.934, 2.71)
+        # at (2.55e298, 3.02e282) read 1.87 min(x, y), and 25 of these 20000
+        # draws left [0, min(x, y)].
+        rng = np.random.default_rng(20)
+        xs, ys = np.exp(rng.uniform(math.log(1e-300), math.log(1.6e308), (2, 20000)))
+        alphas, betas = rng.uniform(0.01, 1.0, (2, 20000))
+        thetas = 1.0 + rng.exponential(3.0, 20000)
+        for x, y, a, b, t in zip(xs.tolist(), ys.tolist(), alphas.tolist(), betas.tolist(), thetas.tolist()):
+            lo = min(x, y)
+            assert 0.0 <= tail_copula_from_pickands(PickandsFn(a, b, t), x, y) <= lo
+            assert 0.0 <= tail_copula_sag(a, b, t, x, y) <= lo
+        assert 0.0 <= tail_copula_from_pickands(PickandsFn(0.618, 0.934, 2.71), 2.55e298, 3.02e282) <= 3.02e282
 
     def test_tev_diagonal(self):
         nu, rho = 4.0, 0.5
@@ -128,8 +185,9 @@ class TestClosedForms:
             lambda x, y: tail_copula_numeric(StudentT(4.0, 0.5), x, y),
             partial(spectral_tail_copula, SpectralModel(4.0, 0.5)),
             default_t_sequence,
+            partial(tail_copula_sag, 0.35, 0.7, 2.0),
         ],
-        ids=["smo", "pickands", "tev", "zero", "numeric", "spectral", "t_sequence"],
+        ids=["smo", "pickands", "tev", "zero", "numeric", "spectral", "t_sequence", "sag"],
     )
     def test_nan_argument_raises(self, tail):
         for x, y in (
@@ -216,8 +274,7 @@ class TestAnalyticDispatch:
             return t.func, t.args
 
         assert bound(survival(MarshallOlkin(0.35, 0.7))) == (tail_copula_smo, (0.35, 0.7))
-        pick = survival(AsymGumbel(0.35, 0.7, 2.0))
-        assert bound(pick) == (tail_copula_from_pickands, (pick.base.pickands,))
+        assert bound(survival(AsymGumbel(0.35, 0.7, 2.0))) == (tail_copula_sag, (0.35, 0.7, 2.0))
         assert bound(StudentT(4.0, 0.5)) == (tail_copula_tev, (4.0, 0.5))
         assert bound(survival(StudentT(4.0, 0.5))) == (tail_copula_tev, (4.0, 0.5))
         assert bound(Comonotone()) == (tail_copula_smo, (1.0, 1.0))
@@ -245,20 +302,14 @@ class TestAnalyticDispatch:
             ("mo:alpha=1,beta=1", partial(tail_copula_smo, 1.0, 1.0)),
             ("smo:alpha=0.35,beta=0.7", SMO),
             ("ag:alpha=0.35,beta=0.7,theta=2", tail_copula_zero),
-            (
-                "sag:alpha=0.35,beta=0.7,theta=2",
-                partial(tail_copula_from_pickands, PickandsFn(0.35, 0.7, 2.0)),
-            ),
+            ("sag:alpha=0.35,beta=0.7,theta=2", partial(tail_copula_sag, 0.35, 0.7, 2.0)),
             ("t:nu=4,rho=0.5", partial(tail_copula_tev, 4.0, 0.5)),
             ("surv-indep", tail_copula_zero),
             ("surv-comono", partial(tail_copula_smo, 1.0, 1.0)),
             ("surv-fgm:theta=0.6", tail_copula_zero),
             ("surv-mo:alpha=0.35,beta=0.7", SMO),
             ("surv-smo:alpha=0.35,beta=0.7", tail_copula_zero),
-            (
-                "surv-ag:alpha=0.35,beta=0.7,theta=2",
-                partial(tail_copula_from_pickands, PickandsFn(0.35, 0.7, 2.0)),
-            ),
+            ("surv-ag:alpha=0.35,beta=0.7,theta=2", partial(tail_copula_sag, 0.35, 0.7, 2.0)),
             ("surv-sag:alpha=0.35,beta=0.7,theta=2", tail_copula_zero),
             ("surv-t:nu=4,rho=0.5", partial(tail_copula_tev, 4.0, 0.5)),
             ("surv-mo:alpha=1,beta=1", partial(tail_copula_smo, 1.0, 1.0)),
