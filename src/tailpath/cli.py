@@ -17,7 +17,7 @@ import json
 import math
 import os
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .copulas import (
     AsymGumbel,
@@ -179,16 +179,24 @@ def _mo_params(model: Copula) -> tuple[float, float]:
 # Per-command artifact writers (shared between single commands and `figure`).
 
 
-def _emit_profile(model: Copula, out: str, prefix: str, fmt: str) -> MtcmResult:
+def _emit_mtcm(
+    model: Copula, out: str, prefix: str
+) -> tuple[Callable[[float, float], float], MtcmResult]:
+    """Solve mtcm on the model's tail copula and write mtcm.json; return both."""
     tail = analytic_tail_copula(model)
     with _op(f"mtcm solve for {model.spec()}"):
         result = mtcm(tail)
+    write_json(os.path.join(out, f"{prefix}mtcm.json"), result.to_json_dict())
+    return tail, result
+
+
+def _emit_profile(model: Copula, out: str, prefix: str, fmt: str) -> MtcmResult:
+    tail, result = _emit_mtcm(model, out, prefix)
     # 511 log-uniform b over the domain |ln b| <= -ln Lambda(1, 1) (at least 1), and b*.
     s_max = max(-math.log(tail(1.0, 1.0)), 1.0)
     bs = map(math.exp, _linspace(-s_max, s_max, 511))
     curve = sorted([(b, tail(b, 1.0 / b)) for b in bs] + [(result.b_star, result.lambda_star)])
     write_csv(os.path.join(out, f"{prefix}profile.csv"), ("b", "lambda_profile"), curve)
-    write_json(os.path.join(out, f"{prefix}mtcm.json"), result.to_json_dict())
     if fmt == "svg":
         chart = svg_line_chart(
             [("profile", curve)],
@@ -316,13 +324,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 def cmd_mtcm(args: argparse.Namespace) -> int:
     model = parse_model(args.model)
-    out = _outdir(args)
-    tail = analytic_tail_copula(model)
-    with _op(f"mtcm solve for {model.spec()}"):
-        result = mtcm(tail)
-    payload = result.to_json_dict()
-    write_json(os.path.join(out, "mtcm.json"), payload)
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    _, result = _emit_mtcm(model, _outdir(args), "")
+    print(json.dumps(result.to_json_dict(), indent=2, sort_keys=True))
     return 0
 
 

@@ -191,7 +191,7 @@ def _lgamma_shift_coeffs(b: float) -> tuple[float, ...]:
 
     Each is (-1)^(k+1) (B_{k+1}(b) - B_{k+1}(0)) / (k (k+1)), with
     B_{k+1}(b) - B_{k+1}(0) = sum_{j <= k} C(k+1, j) B_j b^(k+1-j). They
-    depend on b alone, and the package passes only b = 1/2.
+    depend on b alone, and the t routines pass only b = 1/2.
     """
     coeffs = []
     for k in range(8, 0, -1):
@@ -203,14 +203,21 @@ def _lgamma_shift_coeffs(b: float) -> tuple[float, ...]:
 def _ln_inv_beta(a: float, b: float) -> float:
     """-ln B(a, b) = ln Gamma(a + b) - ln Gamma(a) - ln Gamma(b).
 
-    From a larger shape of _LARGE_SHAPE on, with the smaller at most 1, the
-    difference for the larger shape comes from _lgamma_shift.
+    From a larger shape of _LARGE_SHAPE on, with the smaller below it, the
+    difference for the larger shape, big, is formed without cancelling. The
+    smaller is n + f with n an integer and 0 < f <= 1, and
+    ln Gamma(big + n + f) - ln Gamma(big) is
+    sum_{j<n} ln(big + f + j) + _lgamma_shift(big, f). At a smaller shape of
+    at most 1 the sum is empty. The plain lgamma difference cancels there:
+    it puts I_x(8.4e6, 3.06) at x = 1 - 1.1e-6 3.0e-8 relative off.
     """
+    big, small = (a, b) if a >= b else (b, a)
     try:
-        if a >= _LARGE_SHAPE and b <= 1.0:
-            return _lgamma_shift(a, b) - math.lgamma(b)
-        if b >= _LARGE_SHAPE and a <= 1.0:
-            return _lgamma_shift(b, a) - math.lgamma(a)
+        if big >= _LARGE_SHAPE and small < _LARGE_SHAPE:
+            n = math.ceil(small) - 1
+            f = small - n  # exact: n >= small / 2 when n > 0
+            rising = math.fsum(math.log(big + f + j) for j in range(n))
+            return rising + _lgamma_shift(big, f) - math.lgamma(small)
         return math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
     except OverflowError:  # lgamma overflows past 2.6e305
         raise ConvergenceError(

@@ -147,9 +147,9 @@ class TestExitCodes:
         assert "schedule" in capsys.readouterr().err
 
     def test_degenerate_tail_is_numerical_failure(self, tmp_path, capsys):
-        code = main(["mtcm", "--model", "fgm:theta=-1", "--out", str(tmp_path)])
-        assert code == 3
-        assert "mtcm solve" in capsys.readouterr().err
+        for model in ("fgm:theta=-1", "mo:alpha=0.35,beta=0.7", "indep"):
+            assert main(["mtcm", "--model", model, "--out", str(tmp_path)]) == 3, model
+            assert "mtcm solve" in capsys.readouterr().err
 
     def test_nonpositive_sample_size_is_config_error(self, tmp_path):
         code = main(
@@ -188,6 +188,7 @@ class TestExitCodes:
         assert proc.returncode in (2, 3), proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("schedule", ["1.5", "0", "nan"])
     def test_singular_schedule_outside_unit_interval_is_config_error(self, schedule, tmp_path, capsys):
         # singular_root rejected these with a DomainError, which exited 3.
