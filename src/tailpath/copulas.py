@@ -19,11 +19,10 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DomainError
-from .numerics import student_t_cdf, student_t_quantile, student_t_pdf
+from .numerics import _NU_MIN, student_t_cdf, student_t_quantile, student_t_pdf
 from .numerics import _ln_t_tail_constant, _student_t_cdf_array, _student_t_ln_pdf, integrate_adaptive
 
 __all__ = [
@@ -239,8 +238,13 @@ class MarshallOlkin(Copula):
         return f"mo:alpha={self.alpha:g},beta={self.beta:g}"
 
 
-@dataclass(frozen=True)
-class PickandsFn:
+class _PickandsFields(NamedTuple):
+    alpha: float
+    beta: float
+    theta: float
+
+
+class PickandsFn(_PickandsFields):
     """Asymmetric logistic Pickands dependence function.
 
     A(w) = (1-beta) w + (1-alpha)(1-w)
@@ -257,18 +261,16 @@ class PickandsFn:
     put the profile maximizer at sqrt(beta/alpha).
     """
 
-    alpha: float
-    beta: float
-    theta: float
+    __slots__ = ()
+    # _replace builds through _make, which would skip the checks in __new__.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self) -> None:
-        if not (0.0 < self.alpha <= 1.0 and 0.0 < self.beta <= 1.0):
-            raise DomainError(
-                f"PickandsFn needs alpha, beta in (0, 1], got "
-                f"({self.alpha}, {self.beta})"
-            )
-        if not self.theta > 1.0:
-            raise DomainError(f"PickandsFn needs theta > 1, got {self.theta}")
+    def __new__(cls, alpha: float, beta: float, theta: float) -> PickandsFn:
+        if not (0.0 < alpha <= 1.0 and 0.0 < beta <= 1.0):
+            raise DomainError(f"PickandsFn needs alpha, beta in (0, 1], got ({alpha}, {beta})")
+        if not theta > 1.0:
+            raise DomainError(f"PickandsFn needs theta > 1, got {theta}")
+        return super().__new__(cls, alpha, beta, theta)
 
     def __call__(self, w: float) -> float:
         if not 0.0 <= w <= 1.0:
@@ -544,8 +546,8 @@ class StudentT(Copula):
     """
 
     def __init__(self, nu: float, rho: float) -> None:
-        if not 0.0 < nu < math.inf:
-            raise DomainError(f"StudentT needs finite nu > 0, got {nu}")
+        if not _NU_MIN <= nu < math.inf:
+            raise DomainError(f"StudentT needs finite nu >= {_NU_MIN}, got {nu}")
         if not -1.0 < rho < 1.0:
             raise DomainError(f"StudentT needs rho in (-1, 1), got {rho}")
         self.nu = float(nu)

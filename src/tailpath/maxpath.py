@@ -11,8 +11,7 @@ against the profile-maximization route (MTCM) by equivalence_report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .copulas import Copula
 from .errors import ConvergenceError, DomainError, ScheduleError, TailPathError
@@ -30,8 +29,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PathPoint:
+class PathPoint(NamedTuple):
     """Slice maximizer at one u: location, value, and scale diagnostics.
 
     converged is the slice search's own flag (OptimResult1D.converged).
@@ -59,8 +57,7 @@ class PathPoint:
         return self.pi_value / self.u
 
 
-@dataclass(frozen=True)
-class PathResult:
+class PathResult(NamedTuple):
     """Traced path with extrapolated limits and their error estimates."""
 
     points: tuple[PathPoint, ...]
@@ -195,8 +192,7 @@ def trace_path(model: Copula, u_schedule: Sequence[float] | None = None) -> Path
     )
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(NamedTuple):
     """Agreement between the path-limit route and the profile-maximum route.
 
     lambda_phi_star (extrapolated along the traced path) is compared with

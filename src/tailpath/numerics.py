@@ -2,7 +2,8 @@
 
 The shipped package deliberately carries no special-function dependency, so the
 Student-t distribution is built here from the regularized incomplete beta
-function (continued fraction, Lentz's method) and log-gamma, for every nu > 0.
+function (continued fraction, Lentz's method) and log-gamma, for every nu >= 1e-323
+(below it nu / 2 underflows to 0).
 From a shape parameter of 100 on (nu >= 200), where the log-gamma
 difference and the fraction at arguments near 1 cancel, the difference comes
 from its asymptotic series and an argument past 1/2 is evaluated from its
@@ -37,8 +38,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .errors import BracketError, ConvergenceError, DomainError
 
@@ -58,6 +58,10 @@ if TYPE_CHECKING:
     import numpy as np
 
 _EPS = sys.float_info.epsilon
+
+# The smallest nu whose half, the incomplete beta's shape and lgamma's
+# argument in the t routines, does not underflow to 0.
+_NU_MIN = 1e-323
 
 # |x| beyond which student_t_cdf takes its far-tail form (x^2 > 1e300 is
 # near overflow), for nu below the same bound.
@@ -129,6 +133,7 @@ def betainc_regularized(a: float, b: float, x: float, xc: float | None = None) -
 def _betainc_large(a: float, b: float, x: float, xc: float) -> float:
     """betainc_regularized for a shape of at least _LARGE_SHAPE, 0 < x <= 1.
 
+    An infinite shape is a DomainError: it makes the crossover NaN.
     x > 1/2 is judged and evaluated by xc, which keeps the digits that x
     rounded away: the swap test is xc < (b + 1) / (a + b + 2), and below the
     crossover _betainc_contracted replaces the plain fraction. In the t cdf
@@ -136,6 +141,8 @@ def _betainc_large(a: float, b: float, x: float, xc: float) -> float:
     the crossover's 1.5 / (a + 2.5); a test on z would swap, and the swapped
     fraction, outside its range there, returns 1 + 1.8e-7.
     """
+    if a == math.inf or b == math.inf:
+        raise DomainError(f"betainc_regularized requires finite a and b, got a={a}, b={b}")
     if x > 0.5:
         swap = xc < (b + 1.0) / (a + b + 2.0)
     else:
@@ -336,8 +343,8 @@ def _betainc_fraction(
 
 def student_t_pdf(x: float, nu: float) -> float:
     """Density of the Student-t distribution with nu degrees of freedom."""
-    if not nu > 0.0:
-        raise DomainError(f"student_t_pdf requires nu > 0, got {nu}")
+    if not nu >= _NU_MIN:
+        raise DomainError(f"student_t_pdf requires nu >= {_NU_MIN}, got {nu}")
     return math.exp(_student_t_ln_pdf(x, nu))
 
 
@@ -390,8 +397,8 @@ def student_t_cdf(x: float, nu: float) -> float:
     factor (1 - z)^(1/2) and the continued fraction are 1 + O(z) with
     z < 1e-150, so they are 1 to double precision.
     """
-    if not nu > 0.0:
-        raise DomainError(f"student_t_cdf requires nu > 0, got {nu}")
+    if not nu >= _NU_MIN:
+        raise DomainError(f"student_t_cdf requires nu >= {_NU_MIN}, got {nu}")
     if math.isnan(x):
         raise DomainError("student_t_cdf got NaN argument")
     if math.isinf(x):
@@ -525,8 +532,8 @@ def _student_t_cdf_array(x: np.ndarray, nu: float) -> np.ndarray:
     """
     import numpy as np
 
-    if not nu > 0.0:
-        raise DomainError(f"student_t_cdf requires nu > 0, got {nu}")
+    if not nu >= _NU_MIN:
+        raise DomainError(f"student_t_cdf requires nu >= {_NU_MIN}, got {nu}")
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
     for i in range(0, len(x), _T_CDF_BLOCK):
@@ -620,8 +627,8 @@ def student_t_quantile(p: float, nu: float) -> float:
     T_nu - p only by a constant factor. So after _T_QUANTILE_STEPS steps the
     iteration takes Newton steps on ln T_nu - ln p instead, on that side.
     """
-    if not nu > 0.0:
-        raise DomainError(f"student_t_quantile requires nu > 0, got {nu}")
+    if not nu >= _NU_MIN:
+        raise DomainError(f"student_t_quantile requires nu >= {_NU_MIN}, got {nu}")
     if p <= 0.0 or p >= 1.0:
         raise DomainError(f"student_t_quantile requires p in (0, 1), got {p}")
     if p == 0.5:
@@ -818,8 +825,7 @@ def brent_root(f: Callable[[float], float], lo: float, hi: float) -> float:
     raise ConvergenceError("brent_root hit the 200 iteration limit")
 
 
-@dataclass(frozen=True)
-class OptimResult1D:
+class OptimResult1D(NamedTuple):
     """Outcome of a 1-d maximization: location, value, effort, convergence."""
 
     argmax: float

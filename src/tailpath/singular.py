@@ -10,8 +10,7 @@ The survival MO copula piles singular mass on the curve (1-x)^alpha =
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DomainError, ScheduleError
 from .maxpath import PathResult
@@ -57,8 +56,7 @@ def curve_residual(alpha: float, beta: float, u: float, x: float) -> float:
     return left - right
 
 
-@dataclass(frozen=True)
-class SingularCurvePoint:
+class SingularCurvePoint(NamedTuple):
     u: float
     x_star: float
     residual: float
@@ -117,8 +115,7 @@ def cardano_roots(u: float) -> tuple[float, float, float]:
     return x0, x1, x2
 
 
-@dataclass(frozen=True)
-class AsymptoticRow:
+class AsymptoticRow(NamedTuple):
     u: float
     phi_ratio: float
     x_ratio: float
@@ -126,8 +123,7 @@ class AsymptoticRow:
     gap: float
 
 
-@dataclass(frozen=True)
-class SingularAsymptotics:
+class SingularAsymptotics(NamedTuple):
     rows: tuple[AsymptoticRow, ...]
     target: float
     phi_ratio_converges: bool

@@ -21,10 +21,10 @@ smooth integrand, so the w-endpoint power singularities never materialize.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError
-from .numerics import _student_t_ln_pdf, integrate_adaptive, student_t_cdf, student_t_pdf
+from .numerics import _NU_MIN, _student_t_ln_pdf, integrate_adaptive, student_t_cdf, student_t_pdf
 from .tailcopula import _check_quadrant
 
 __all__ = [
@@ -41,18 +41,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SpectralModel:
-    """Degrees of freedom and correlation of the t extreme-value family."""
-
+class _SpectralFields(NamedTuple):
     nu: float
     rho: float
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.nu < math.inf:
-            raise DomainError(f"SpectralModel needs finite nu > 0, got {self.nu}")
-        if not -1.0 < self.rho < 1.0:
-            raise DomainError(f"SpectralModel needs rho in (-1, 1), got {self.rho}")
+
+class SpectralModel(_SpectralFields):
+    """Degrees of freedom and correlation of the t extreme-value family."""
+
+    __slots__ = ()
+    # _replace builds through _make, which would skip the checks in __new__.
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __new__(cls, nu: float, rho: float) -> SpectralModel:
+        if not _NU_MIN <= nu < math.inf:
+            raise DomainError(f"SpectralModel needs finite nu >= {_NU_MIN}, got {nu}")
+        if not -1.0 < rho < 1.0:
+            raise DomainError(f"SpectralModel needs rho in (-1, 1), got {rho}")
+        return super().__new__(cls, nu, rho)
 
     @property
     def eta(self) -> float:

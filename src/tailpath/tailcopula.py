@@ -22,9 +22,8 @@ from __future__ import annotations
 import heapq
 import math
 import sys
-from dataclasses import asdict, dataclass
 from functools import partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .copulas import (
     AsymGumbel,
@@ -179,8 +178,7 @@ def default_t_sequence(x: float, y: float) -> list[float]:
     return seq
 
 
-@dataclass(frozen=True)
-class NumericTailValue:
+class NumericTailValue(NamedTuple):
     """Accelerated numeric tail-copula value with its reported error."""
 
     value: float
@@ -275,8 +273,7 @@ _TINY = sys.float_info.min
 _LN_TINY = math.log(_TINY)
 
 
-@dataclass(frozen=True)
-class MtcmResult:
+class MtcmResult(NamedTuple):
     """Maximal tail concordance: maximizer, maximum, and search diagnostics.
 
     gap certifies lambda_star: the profile's maximum is at most
@@ -298,7 +295,7 @@ class MtcmResult:
     n_evals: int
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def mtcm(tail: Callable[[float, float], float]) -> MtcmResult:

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .copulas import (
     AsymGumbel,
@@ -61,8 +60,7 @@ __all__ = ["CheckResult", "SUITES", "run_suite"]
 _T_PAIRS = ((4.0, 0.5), (2.0, -0.3), (10.0, 0.8))
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str

@@ -188,6 +188,19 @@ class TestExitCodes:
         assert proc.returncode in (2, 3), proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("command", ["path", "sample", "spectral", "mtcm"])
+    def test_subnormal_nu_is_an_error_not_a_traceback(self, command, tmp_path):
+        # nu / 2 underflows to 0 at nu = 5e-324; path and sample ended in a
+        # bare ValueError from lgamma(0).
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tailpath.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "tailpath.cli", command, "--model", "t:nu=5e-324,rho=0.5",
+             "--out", str(tmp_path)],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode in (2, 3), proc.stderr
+        assert "Traceback" not in proc.stderr
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("schedule", ["1.5", "0", "nan"])
     def test_singular_schedule_outside_unit_interval_is_config_error(self, schedule, tmp_path, capsys):

@@ -310,6 +310,29 @@ class TestStudentT:
         with pytest.raises(TailPathError):
             call()
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda nu: student_t_pdf(0.3, nu),
+            lambda nu: student_t_cdf(0.3, nu),
+            lambda nu: student_t_cdf(-1e200, nu),
+            lambda nu: student_t_quantile(0.3, nu),
+            lambda nu: _student_t_cdf_array(np.array([0.5, -1e200]), nu),
+            lambda nu: StudentT(nu, 0.5),
+            lambda nu: SpectralModel(nu, 0.5),
+        ],
+        ids=["pdf", "cdf", "cdf_far", "quantile", "cdf_array", "StudentT", "SpectralModel"],
+    )
+    def test_subnormal_nu_is_domain_error(self, call):
+        # nu / 2 underflows to 0 at nu = 5e-324, and lgamma(0) raised a bare ValueError.
+        with pytest.raises(DomainError, match="1e-323"):
+            call(5e-324)
+
+    def test_smallest_nu_gives_values_in_range(self):
+        assert 0.0 <= student_t_cdf(0.3, 1e-323) <= 1.0
+        assert 0.0 <= student_t_cdf(-1e200, 1e-323) <= 1.0
+        assert student_t_pdf(0.3, 1e-323) >= 0.0
+
     @pytest.mark.parametrize("nu", [0.5, 4.0, 4.5, 300.0, 1e10])
     def test_cdf_array_equals_scalar_across_blocks(self, nu, monkeypatch):
         # Blocks of 7 entries: 50 entries span 8 blocks, with the specials
@@ -476,6 +499,16 @@ class TestBetainc:
     @pytest.mark.parametrize("a, b, x, want", LARGE_SHAPE_BETAINC_REFERENCE)
     def test_large_shapes_against_mpmath(self, a, b, x, want):
         assert betainc_regularized(a, b, x) == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize(
+        "a, b, x",
+        [(1e200, math.inf, 1.0), (math.inf, 1e200, 1.0), (1.0, math.inf, 0.5), (math.inf, 2.0, 0.5)],
+    )
+    def test_infinite_shape_is_domain_error(self, a, b, x):
+        # The crossover (a + 1) / (a + b + 2) is NaN there, and x = 1 reached
+        # log1p(-1), a bare ValueError.
+        with pytest.raises(DomainError):
+            betainc_regularized(a, b, x)
 
 
 class TestIntegrateAdaptive:
